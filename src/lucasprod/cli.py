@@ -3,8 +3,8 @@
 Every subcommand prints either a fixed-order text report or one JSON record
 ``{command, params: {p, q, a, k}, results: [...]}``; identical inputs give
 byte-identical output. Exit codes separate the outcomes: 0 success, 1 a
-mathematical rejection or not-found, 2 bad usage, 3 factorization budget
-exhausted.
+mathematical rejection (including a --prime proved composite), 2 bad usage
+or an internal error, 3 factorization budget exhausted.
 """
 
 from __future__ import annotations
@@ -283,7 +283,7 @@ def _run_verify(config: RunConfig, cache: FactorCache | None) -> int:
 def _run_rank(config: RunConfig, cache: FactorCache | None) -> int:
     params = validate_params(config.p, config.q)
     try:
-        rank = rank_of_apparition(params, config.prime)
+        rank = rank_of_apparition(params, config.prime, budget=config.budget)
     except NotFoundWithinBound as exc:
         if config.as_json:
             _emit_json(config, [], error={"type": type(exc).__name__, "message": str(exc)})
@@ -381,7 +381,8 @@ _RUNNERS = {
 
 def run(config: RunConfig) -> int:
     """Dispatch a parsed invocation; exceptions map to the exit-code contract."""
-    cache = cache_from_env(config.cache_path)
+    # seq and rank never read the factor cache, so they skip loading it.
+    cache = None if config.subcommand in ("seq", "rank") else cache_from_env(config.cache_path)
     return _RUNNERS[config.subcommand](config, cache)
 
 

@@ -2,7 +2,8 @@
 
 Validation failures and mathematical rejections are distinct: the former
 mean the input was malformed, the latter are legitimate negative answers
-(a tuple that is not a solution, a rank that was not found).
+(a tuple that is not a solution, a --prime proved composite because it
+has no rank of apparition).
 """
 
 from __future__ import annotations
@@ -67,12 +68,20 @@ class IncompleteFactorization(LucasProdError):
 
 
 class NotFoundWithinBound(LucasProdError):
-    """A scan that is expected to succeed ran out of room; never swallowed."""
+    """p does not divide U_index, where index = p - (delta/p).
 
-    def __init__(self, p: int, bound: int):
+    The law of apparition puts every prime p in U_{p - (delta/p)}, so this
+    proves p composite, whatever a probable-prime test said. Never swallowed:
+    no rank of apparition exists to report.
+    """
+
+    def __init__(self, p: int, index: int):
         self.p = p
-        self.bound = bound
-        super().__init__(f"no index n <= {bound} with {p} dividing U_n")
+        self.index = index
+        super().__init__(
+            f"{p} does not divide U_{index}, which every prime p divides at index "
+            f"p - (delta/p); so {p} is composite"
+        )
 
 
 # --- solution verification ------------------------------------------------
@@ -108,3 +117,15 @@ class NegativeQuotientEvenK(VerificationError):
     def __init__(self, k: int):
         self.k = k
         super().__init__(f"quotient is negative but k={k} is even")
+
+
+class SeparationLawViolation(LucasProdError):
+    """A certificate's valuation table breaks a separation law it promises.
+
+    This flags an internal inconsistency, not a rejected tuple, so it is
+    deliberately not a VerificationError.
+    """
+
+    def __init__(self, p: int, detail: str):
+        self.p = p
+        super().__init__(f"valuation table breaks a separation law at prime {p}: {detail}")

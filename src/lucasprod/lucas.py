@@ -56,23 +56,26 @@ def validate_params(p: int, q: int) -> LucasParams:
     return LucasParams(p=p, q=q, delta=delta, alpha=alpha, beta=beta)
 
 
-def _doubling_pair(params: LucasParams, n: int) -> tuple[int, int]:
-    """(U_n, U_{n+1}) by index doubling.
+def _doubling_pair(params: LucasParams, n: int, modulus: int = 0) -> tuple[int, int]:
+    """(U_n, U_{n+1}) by index doubling, reduced mod ``modulus`` when nonzero.
 
     Doubling steps come from the addition formula
     U_{m+n} = U_m*U_{n+1} + q*U_{m-1}*U_n:
         U_{2m}   = U_m * (2*U_{m+1} - p*U_m)
         U_{2m+1} = U_{m+1}^2 + q*U_m^2
     """
-    if n == 0:
-        return 0, 1
     p, q = params.p, params.q
-    a, b = _doubling_pair(params, n >> 1)
-    even = a * (2 * b - p * a)
-    odd = b * b + q * a * a
-    if n & 1:
-        return odd, p * odd + q * even
-    return even, odd
+    a, b = 0, 1
+    for bit in bin(n)[2:]:
+        even = a * (2 * b - p * a)
+        odd = b * b + q * a * a
+        if bit == "1":
+            a, b = odd, p * odd + q * even
+        else:
+            a, b = even, odd
+        if modulus:
+            a, b = a % modulus, b % modulus
+    return a, b
 
 
 def lucas_u(params: LucasParams, n: int, *, index_cap: int = DEFAULT_INDEX_CAP) -> int:
@@ -82,6 +85,18 @@ def lucas_u(params: LucasParams, n: int, *, index_cap: int = DEFAULT_INDEX_CAP) 
     if n > index_cap:
         raise ValueError(f"index {n} exceeds the cap {index_cap}")
     return _doubling_pair(params, n)[0]
+
+
+def lucas_u_mod(params: LucasParams, n: int, m: int) -> int:
+    """U_n mod m in O(log n) multiplications of residues below m.
+
+    There is no index cap: the residues never grow past m, whatever n is.
+    """
+    if n < 0:
+        raise ValueError(f"index must be >= 0, got {n}")
+    if m < 1:
+        raise ValueError(f"modulus must be >= 1, got {m}")
+    return _doubling_pair(params, n, m)[0]
 
 
 def lucas_term(params: LucasParams, n: int, *, index_cap: int = DEFAULT_INDEX_CAP) -> LucasTerm:

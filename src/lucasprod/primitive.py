@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .errors import IncompleteFactorization, NotFoundWithinBound, NotPrime
 from .factoring import DEFAULT_RHO_BUDGET, FactorCache, factorize
-from .intmath import is_probable_prime
-from .lucas import LucasParams, lucas_u
+from .intmath import is_probable_prime, kronecker_at_prime
+from .lucas import LucasParams, lucas_u, lucas_u_mod
 from .square_class import abs_prime_support
 
 
@@ -45,22 +45,28 @@ class ObstructionVerdict:
     prime: int | None = None
 
 
-def rank_of_apparition(params: LucasParams, p: int) -> RankOfApparition:
-    """Smallest n >= 1 with p | U_n, by scanning the sequence mod p.
+def rank_of_apparition(params: LucasParams, p: int, budget: int = DEFAULT_RHO_BUDGET) -> RankOfApparition:
+    """Smallest n >= 1 with p | U_n, by descent on the divisors of m = p - (delta/p).
 
-    The scan stops at n = p + 1, the classical bound for primes not dividing
-    the discriminant; running past it is a violated expectation and raises
-    rather than looping on.
+    Law of apparition (Lucas 1878): a prime p divides U_m, and p | U_n iff
+    z(p) | n. So z starts at m, factored at ``budget`` with no persistent
+    cache, and sheds each prime l of m while p | U_{z/l}. U_m != 0 (mod p)
+    proves p composite whatever the probable-prime test said: that raises
+    NotFoundWithinBound and returns no rank.
     """
     if p < 2 or not is_probable_prime(p):
         raise NotPrime(p)
-    bound = p + 1
-    u_prev, u = 0, 1 % p
-    for n in range(1, bound + 1):
-        if u == 0:
-            return RankOfApparition(p=p, z=n)
-        u_prev, u = u, (params.p * u + params.q * u_prev) % p
-    raise NotFoundWithinBound(p, bound)
+    m = p - kronecker_at_prime(params.delta, p)
+    if lucas_u_mod(params, m, p) != 0:
+        raise NotFoundWithinBound(p, m)
+    fac = factorize(m, budget=budget)
+    if not fac.complete:
+        raise IncompleteFactorization(fac.cofactor)
+    z = m
+    for l in fac.factors:
+        while z % l == 0 and lucas_u_mod(params, z // l, p) == 0:
+            z //= l
+    return RankOfApparition(p=p, z=z)
 
 
 def rank_set(
@@ -71,7 +77,7 @@ def rank_set(
 ) -> frozenset[int]:
     """Ranks of apparition of the primes dividing the coefficient."""
     return frozenset(
-        rank_of_apparition(params, p).z
+        rank_of_apparition(params, p, budget=budget).z
         for p in abs_prime_support(a, budget=budget, cache=cache)
     )
 
@@ -80,24 +86,18 @@ def _is_primitive(params: LucasParams, p: int, n: int) -> bool:
     """Whether p | U_n has rank exactly n, given that it divides U_n.
 
     Rank divisibility (p | U_m iff z(p) | m) reduces the test to the maximal
-    proper divisors n/l over primes l | n; this avoids scanning up to p for
-    the large primitive primes of big terms.
+    proper divisors n/l over primes l | n, each a residue of U mod p.
     """
-    if n == 1:
-        return True
     remaining = n
     l = 2
     while l * l <= remaining:
         if remaining % l == 0:
-            if lucas_u(params, n // l) % p == 0:
+            if lucas_u_mod(params, n // l, p) == 0:
                 return False
             while remaining % l == 0:
                 remaining //= l
         l += 1
-    if remaining > 1:
-        if lucas_u(params, n // remaining) % p == 0:
-            return False
-    return True
+    return remaining == 1 or lucas_u_mod(params, n // remaining, p) != 0
 
 
 def primitive_divisors(

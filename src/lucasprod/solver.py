@@ -20,6 +20,7 @@ from .errors import (
     NotDivisible,
     NotKthPower,
     NotPairwiseCoprime,
+    SeparationLawViolation,
 )
 from .factoring import DEFAULT_RHO_BUDGET, FactorCache, factorize, valuation
 from .intmath import perfect_kth_power_root
@@ -267,7 +268,7 @@ def _valuation_table(
 ) -> dict[int, tuple[tuple[int, int], ...]]:
     """Prime -> ((index, valuation), ...) over factors the prime divides.
 
-    Also asserts the separation laws the certificate promises: primes outside
+    Also checks the separation laws the certificate promises: primes outside
     the coefficient meet each factor to a multiple of k, primes inside it meet
     exactly one factor, deep and with matching parity when k = 2.
     """
@@ -283,11 +284,11 @@ def _valuation_table(
         )
         table[p] = entries
         if p in coefficient_factors:
-            assert len(entries) == 1, f"prime {p} of a carried by {len(entries)} factors"
-            v = entries[0][1]
-            assert v >= coefficient_factors[p]
-            if eq.k == 2:
-                assert (v - coefficient_factors[p]) % 2 == 0
-        else:
-            assert all(v % eq.k == 0 for _, v in entries)
+            if len(entries) != 1:
+                raise SeparationLawViolation(p, f"prime of a={eq.a} carried by {len(entries)} factors")
+            (n, v), e = entries[0], coefficient_factors[p]
+            if v < e or (eq.k == 2 and (v - e) % 2):
+                raise SeparationLawViolation(p, f"valuation {v} in U_{n} does not fit exponent {e} in a={eq.a}")
+        elif any(v % eq.k for _, v in entries):
+            raise SeparationLawViolation(p, f"prime outside a={eq.a} to an exponent not divisible by k={eq.k}")
     return table

@@ -120,3 +120,16 @@ def rank_by_bigint(p, us):
         if us[n] % p == 0:
             return n
     return None
+
+
+def rank_by_scan(p, q, prime):
+    """Smallest n >= 1 with prime | U_n, by running the recurrence mod prime.
+
+    Every prime has a rank of at most prime + 1, so the scan stops there.
+    """
+    u_prev, u = 0, 1 % prime
+    for n in range(1, prime + 2):
+        if u == 0:
+            return n
+        u_prev, u = u, (p * u + q * u_prev) % prime
+    return None

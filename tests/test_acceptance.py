@@ -157,7 +157,7 @@ def test_c06_square_fibonacci_scan():
 
 
 def test_c07_rank_of_apparition_agreement():
-    with report(7, "mod-p rank equals the big-integer scan for p < 100; p | U_n iff z(p) | n up to 300"):
+    with report(7, "divisor-descent rank equals the big-integer scan for p < 100; p | U_n iff z(p) | n up to 300"):
         params = validate_params(1, 1)
         us = lucas_values(1, 1, 301)
         for p in primes_below(100):

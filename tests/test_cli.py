@@ -17,6 +17,7 @@ import sys
 
 import pytest
 
+from lucasprod import SeparationLawViolation, solver
 from lucasprod.cli import main
 from lucasprod.factoring import CACHE_ENV_VAR
 
@@ -148,6 +149,39 @@ def test_rank_rejects_composite(capsys):
     assert code == 2
     assert out == ""
     assert "parameter error" in err
+
+
+def test_rank_budget_reaches_factoring_of_p_minus_symbol(capsys):
+    # p - (5/p) = 24 * 100000000003 * 100000000019: rho needs ~3e5 steps for it.
+    prime = "240000000052800000001369"
+    code, out, err = run_cli(capsys, ["rank", *FIB, "--prime", prime, "--budget", "1000"])
+    assert code == 3
+    assert out == ""
+    assert "budget exhausted" in err and "10000000002200000000057" in err
+    code, out, _ = run_cli(capsys, ["rank", *FIB, "--prime", prime])
+    assert code == 0
+    assert out.strip() == f"z({prime}) = 20000000004400000000114"
+
+
+def test_rank_and_seq_never_load_the_cache(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    bad = tmp_path / "bad.cache"
+    bad.write_text("6 1 2^1\n", encoding="ascii")
+    assert run_cli(capsys, ["rank", *FIB, "--prime", "11", "--cache", str(bad)])[:2] == (0, "z(11) = 10\n")
+    assert run_cli(capsys, ["seq", *FIB, "--max", "2", "--cache", str(bad)])[:2] == (0, "1 1\n2 1\n")
+    code, _, err = run_cli(capsys, ["classify", *FIB, "--max", "5", "--cache", str(bad)])
+    assert code == 2 and "does not reconstruct" in err
+
+
+def test_internal_inconsistency_is_not_a_rejection(capsys, monkeypatch):
+    def broken_table(*args):
+        raise SeparationLawViolation(5, "injected")
+
+    monkeypatch.setattr(solver, "_valuation_table", broken_table)
+    code, out, err = run_cli(capsys, ["verify", *FIB, "--a", "5", "--indices", "5,12"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: valuation table breaks a separation law at prime 5")
 
 
 def test_bad_q_is_usage_error(capsys):

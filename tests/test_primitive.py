@@ -3,18 +3,25 @@
 import pytest
 
 from lucasprod import (
+    NotFoundWithinBound,
     NotPrime,
     ProductEquation,
     enumerate_solutions,
     lucas_range,
     obstruction_filter,
+    primitive,
     primitive_divisors,
     rank_of_apparition,
     rank_set,
+    validate_params,
 )
-from lucasprod.intmath import primes_below
+from lucasprod.intmath import kronecker_at_prime, primes_below
+from lucasprod.lucas import DEFAULT_INDEX_CAP, lucas_u, lucas_u_mod
 
-from _oracles import rank_by_bigint
+from _oracles import rank_by_bigint, rank_by_scan
+
+BENCHMARK_CARDS = ((1, 1), (2, 1), (3, -1), (3, 1), (4, 1), (6, 1))
+PRIMES_BELOW_20000 = primes_below(20_000)
 
 
 def test_rank_matches_bigint_scan(fib, pell):
@@ -49,6 +56,47 @@ def test_rank_always_found_within_bound(fib, pell):
         for p in primes_below(500):
             rank = rank_of_apparition(params, p)
             assert 1 <= rank.z <= p + 1
+
+
+def test_rank_descent_matches_scan_below_20000():
+    for p, q in BENCHMARK_CARDS:
+        params = validate_params(p, q)
+        assert any(params.delta % prime == 0 for prime in PRIMES_BELOW_20000)
+        for prime in PRIMES_BELOW_20000:
+            assert rank_of_apparition(params, prime).z == rank_by_scan(p, q, prime), (p, q, prime)
+
+
+def test_rank_divides_law_of_apparition_index():
+    for p, q in BENCHMARK_CARDS:
+        params = validate_params(p, q)
+        for prime in PRIMES_BELOW_20000:
+            z = rank_of_apparition(params, prime).z
+            assert (prime - kronecker_at_prime(params.delta, prime)) % z == 0
+            assert lucas_u_mod(params, z, prime) == 0
+
+
+def test_rank_of_large_fibonacci_prime(fib):
+    assert rank_of_apparition(fib, 10_000_019).z == 10_000_018
+
+
+def test_rank_refuses_composite_passed_as_prime(fib, monkeypatch):
+    monkeypatch.setattr(primitive, "is_probable_prime", lambda n: True)
+    for composite in (91, 341, 561, 10_001):
+        with pytest.raises(NotFoundWithinBound) as info:
+            rank_of_apparition(fib, composite)
+        assert info.value.p == composite
+        assert "composite" in str(info.value)
+
+
+def test_lucas_u_mod_matches_exact_terms():
+    indices = [*range(40), 97, 1_000, 4_097, DEFAULT_INDEX_CAP + 1, 3 * DEFAULT_INDEX_CAP // 2]
+    moduli = (1, 2, 3, 10, 97, 2 ** 61 - 1, 10 ** 30 + 57)
+    for p, q in ((1, 1), (2, 1), (3, -1), (-3, 1)):
+        params = validate_params(p, q)
+        for n in indices:
+            exact = lucas_u(params, n, index_cap=n)
+            for m in moduli:
+                assert lucas_u_mod(params, n, m) == exact % m, (p, q, n, m)
 
 
 def test_rank_set(fib):

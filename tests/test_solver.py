@@ -14,12 +14,16 @@ from lucasprod import (
     NotKthPower,
     NotPairwiseCoprime,
     ProductEquation,
+    SeparationLawViolation,
+    VerificationError,
     admissible_indices,
     enumerate_solutions,
     lucas_u,
     validate_params,
     verify_solution,
 )
+
+from lucasprod.solver import _valuation_table
 
 from _oracles import brute_solutions
 
@@ -130,6 +134,22 @@ def test_verify_typed_rejections(fib, shared_cache):
         verify_solution(_eq(fib, 4, 3, 50, 2), (6,), cache=shared_cache)
     with pytest.raises(NegativeQuotientEvenK):
         verify_solution(_eq(fib, -1, 4, 50, 2), (2,), cache=shared_cache)
+
+
+def test_valuation_table_rejects_inconsistent_tables(fib):
+    eq = _eq(fib, 5, 2, 50, 2)
+    consistent = {5: {5: 1}, 12: {2: 4, 3: 2}}
+    assert _valuation_table(eq, (5, 12), consistent, {5: 1}) == {2: ((12, 4),), 3: ((12, 2),), 5: ((5, 1),)}
+    broken = [
+        ({5: {5: 1}, 12: {2: 4, 5: 2}}, {5: 1}),  # a prime of a carried by two factors
+        ({5: {5: 1}, 12: {2: 4, 3: 2}}, {5: 2}),  # coefficient deeper than its factor
+        ({5: {5: 2}, 12: {2: 4, 3: 2}}, {5: 1}),  # odd excess over the coefficient, k = 2
+        ({5: {5: 1}, 12: {2: 4, 3: 1}}, {5: 1}),  # prime outside a to an odd exponent
+    ]
+    for table, coefficient in broken:
+        with pytest.raises(SeparationLawViolation) as info:
+            _valuation_table(eq, (5, 12), table, coefficient)
+        assert not isinstance(info.value, VerificationError)
 
 
 def test_verify_input_validation(fib):
