@@ -5,6 +5,12 @@ Every subcommand prints either a fixed-order text report or one JSON record
 byte-identical output. Exit codes separate the outcomes: 0 success, 1 a
 mathematical rejection (including a --prime proved composite), 2 bad usage
 or an internal error, 3 factorization budget exhausted.
+
+Every subcommand that factors runs on one FactorCache, so a complete
+factorization is computed once per run and then reused: the --cache / LUCAS_FACTOR_CACHE
+file when one is named, else a fresh in-memory cache that dies with the run.
+The k-free parts and roots derived from a factorization are held in memory
+only; the file receives only the records that factoring computed.
 """
 
 from __future__ import annotations
@@ -382,7 +388,12 @@ _RUNNERS = {
 def run(config: RunConfig) -> int:
     """Dispatch a parsed invocation; exceptions map to the exit-code contract."""
     # seq and rank never read the factor cache, so they skip loading it.
-    cache = None if config.subcommand in ("seq", "rank") else cache_from_env(config.cache_path)
+    cache = None
+    if config.subcommand not in ("seq", "rank"):
+        # `is None`, not `or`: an empty file-backed cache is falsy (__len__).
+        cache = cache_from_env(config.cache_path)
+        if cache is None:
+            cache = FactorCache()
     return _RUNNERS[config.subcommand](config, cache)
 
 

@@ -1,17 +1,22 @@
 """Exact factorization of big integers, with budgeted rho and a line cache.
 
-Pipeline: trial division up to 10^5, perfect-power peeling, Miller-Rabin
-(deterministic below ~3.3e24, 40 fixed rounds above), then Brent's variant of
-Pollard rho with deterministic restarts. The budget is counted in rho
-iterations per composite; when it runs out the result is Partial and callers
-that need completeness get a typed IncompleteFactorization.
+Pipeline: trial division up to 10^5 (each chunk of primes screened by one
+gcd), perfect-power peeling, Miller-Rabin (deterministic below ~3.3e24, 40
+fixed rounds above), then Brent's variant of Pollard rho with deterministic
+restarts. The budget is counted in rho iterations per composite; when it runs
+out the result is Partial and callers that need completeness get a typed
+IncompleteFactorization.
+
+A FactorCache makes each distinct integer cost one factorization. Given one,
+``power_free_part`` also records the exact factorizations of the k-free part
+e and the root s it derives, in memory only, so later lookups of e and s need
+no rho; a cache file receives only the records ``factorize`` computed.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 
 from .errors import IncompleteFactorization, NotPrime, ZeroInput
@@ -22,6 +27,15 @@ DEFAULT_RHO_BUDGET = 10 ** 8
 CACHE_ENV_VAR = "LUCAS_FACTOR_CACHE"
 
 _TRIAL_PRIMES = primes_below(TRIAL_DIVISION_LIMIT)
+# Trial primes in chunks, each with the product of its primes: one gcd with
+# the product tells whether any prime of the chunk divides.
+_TRIAL_CHUNK = 64
+_TRIAL_CHUNKS = tuple(
+    (chunk, math.prod(chunk))
+    for chunk in (
+        tuple(_TRIAL_PRIMES[i : i + _TRIAL_CHUNK]) for i in range(0, len(_TRIAL_PRIMES), _TRIAL_CHUNK)
+    )
+)
 # Squares of numbers with no prime factor below the trial limit are at least this.
 _TRIAL_LIMIT_SQUARED = TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT
 
@@ -80,14 +94,13 @@ class FactorCache:
 
     File format, one record per line: ``N <sign> <p1>^<e1> <p2>^<e2> ...``.
     The file is loaded fully at construction and appended on new complete
-    results; appends are serialized by a lock. ``path=None`` keeps the cache
-    purely in memory.
+    results from ``add``; records kept with ``_remember`` stay in memory.
+    ``path=None`` keeps the cache purely in memory.
     """
 
     def __init__(self, path: str | None = None):
         self.path = path
         self._entries: dict[int, Factorization] = {}
-        self._lock = threading.Lock()
         if path is not None and os.path.exists(path):
             self._load(path)
 
@@ -104,12 +117,24 @@ class FactorCache:
                     fields = line.split()
                     n = int(fields[0])
                     sign = int(fields[1])
-                    factors: dict[int, int] = {}
+                    pairs = []
                     for item in fields[2:]:
                         p_text, e_text = item.split("^")
-                        factors[int(p_text)] = int(e_text)
+                        pairs.append((int(p_text), int(e_text)))
                 except (ValueError, IndexError) as exc:
                     raise ValueError(f"{path}:{lineno}: malformed cache line {line!r}") from exc
+                # Structural checks; the bases are not tested for primality here.
+                if sign not in (-1, 1):
+                    raise ValueError(f"{path}:{lineno}: sign {sign} is not +1 or -1")
+                factors: dict[int, int] = {}
+                for p, e in pairs:
+                    if p < 2:
+                        raise ValueError(f"{path}:{lineno}: base {p} is below 2")
+                    if e < 1:
+                        raise ValueError(f"{path}:{lineno}: exponent {e} of {p} is below 1")
+                    if p in factors:
+                        raise ValueError(f"{path}:{lineno}: prime {p} is repeated")
+                    factors[p] = e
                 fac = Factorization(sign, factors)
                 if fac.value() != n:
                     raise ValueError(f"{path}:{lineno}: record does not reconstruct {n}")
@@ -119,18 +144,20 @@ class FactorCache:
         hit = self._entries.get(n)
         return hit.copy() if hit is not None else None
 
+    def _remember(self, n: int, fac: Factorization) -> bool:
+        """Keep a complete factorization in memory only; True when n is new."""
+        if not fac.complete or n in self._entries:
+            return False
+        self._entries[n] = fac.copy()
+        return True
+
     def add(self, n: int, fac: Factorization) -> None:
-        if not fac.complete:
-            return
-        with self._lock:
-            if n in self._entries:
-                return
-            self._entries[n] = fac.copy()
-            if self.path is not None:
-                items = " ".join(f"{p}^{e}" for p, e in sorted(fac.factors.items()))
-                line = f"{n} {fac.sign} {items}".rstrip()
-                with open(self.path, "a", encoding="ascii") as handle:
-                    handle.write(line + "\n")
+        """Keep a complete factorization and append it to the file, if any."""
+        if self._remember(n, fac) and self.path is not None:
+            items = " ".join(f"{p}^{e}" for p, e in sorted(fac.factors.items()))
+            line = f"{n} {fac.sign} {items}".rstrip()
+            with open(self.path, "a", encoding="ascii") as handle:
+                handle.write(line + "\n")
 
 
 def cache_from_env(flag_path: str | None = None) -> FactorCache | None:
@@ -192,12 +219,15 @@ def factorize(n: int, budget: int = DEFAULT_RHO_BUDGET, cache: FactorCache | Non
     sign = 1 if n > 0 else -1
     m = abs(n)
     factors: dict[int, int] = {}
-    for p in _TRIAL_PRIMES:
-        if p * p > m:
-            break
-        while m % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            m //= p
+    for chunk, product in _TRIAL_CHUNKS:
+        if chunk[0] * chunk[0] > m:
+            break  # m has no prime below chunk[0], so it is 1 or prime
+        if math.gcd(m, product) == 1:
+            continue
+        for p in chunk:
+            while m % p == 0:
+                factors[p] = factors.get(p, 0) + 1
+                m //= p
 
     cofactor = 1
     pending = [m] if m > 1 else []
@@ -258,15 +288,22 @@ def power_free_part(
     budget: int = DEFAULT_RHO_BUDGET,
     cache: FactorCache | None = None,
 ) -> PowerFreeDecomposition:
-    """Unique decomposition n = e * s^k with e k-th-power-free, sign on e."""
+    """Unique decomposition n = e * s^k with e k-th-power-free, sign on e.
+
+    With a cache, the factorizations of e and s read off that of n are kept
+    in its memory (never in its file), so factoring them later costs nothing.
+    """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     fac = factorize(n, budget=budget, cache=cache)
     if not fac.complete:
         raise IncompleteFactorization(fac.cofactor)
-    e = fac.sign
-    s = 1
-    for p, exp in fac.factors.items():
-        e *= p ** (exp % k)
-        s *= p ** (exp // k)
+    e_factors = {p: exp % k for p, exp in fac.factors.items() if exp % k}
+    s_factors = {p: exp // k for p, exp in fac.factors.items() if exp >= k}
+    e_fac = Factorization(fac.sign, e_factors)
+    s_fac = Factorization(1, s_factors)
+    e, s = e_fac.value(), s_fac.value()
+    if cache is not None:
+        cache._remember(e, e_fac)
+        cache._remember(s, s_fac)
     return PowerFreeDecomposition(k=k, e=e, s=s)

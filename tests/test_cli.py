@@ -14,12 +14,14 @@ import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from lucasprod import SeparationLawViolation, solver
-from lucasprod.cli import main
-from lucasprod.factoring import CACHE_ENV_VAR
+from lucasprod import SeparationLawViolation, factoring, solver
+from lucasprod.cli import _RUNNERS, main, parse_args
+from lucasprod.factoring import CACHE_ENV_VAR, factorize, power_free_part
+from lucasprod.lucas import lucas_u, validate_params
 
 FIB = ["--p", "1", "--q", "1"]
 
@@ -293,3 +295,85 @@ def test_console_script_smoke():
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["1 1", "2 1", "3 2", "4 3", "5 5"]
+
+
+def test_corrupt_cache_record_is_refused(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    argv = ["admissible", *FIB, "--a", "6", "--k", "3", "--max", "30"]
+    assert run_cli(capsys, argv)[:2] == (0, "2 3 4 6 12\n")
+    bad = tmp_path / "bad.cache"
+    bad.write_text("6 3 2^1\n", encoding="ascii")  # 3 * 2 = 6, but 3 is not a sign
+    code, out, err = run_cli(capsys, [*argv, "--cache", str(bad)])
+    assert (code, out) == (2, "")
+    assert "bad.cache:1: sign 3" in err
+
+
+# One CLI run per entry: (argv, card, budget, indices whose terms it factors).
+_RUN_CACHE_CASES = [
+    (["classify", "--p", "6", "--q", "1", "--max", "30", "--k", "3"], (6, 1), factoring.DEFAULT_RHO_BUDGET, range(1, 31)),
+    (["abc-quality", "--p", "6", "--q", "1", "--from", "46", "--to", "53", "--budget", "100000"], (6, 1), 100_000, range(46, 54)),
+    (["primitive", *FIB, "--n", "60", "--a", "5"], (1, 1), factoring.DEFAULT_RHO_BUDGET, [60]),
+    (["primitive", *FIB, "--n", "77", "--a", "5"], (1, 1), factoring.DEFAULT_RHO_BUDGET, [77]),
+]
+
+
+def test_run_cache_factors_each_term_once(capsys, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    rho_work = []
+    real_rho = factoring._brent_rho
+
+    def recording_rho(c, budget):
+        divisor, used = real_rho(c, budget)
+        rho_work.append((c, used))
+        return divisor, used
+
+    monkeypatch.setattr(factoring, "_brent_rho", recording_rho)
+    bare_total = 0
+    for argv, (p, q), budget, indices in _RUN_CACHE_CASES:
+        rho_work.clear()
+        assert run_cli(capsys, argv)[0] == 0
+        in_run = Counter(rho_work)
+        rho_work.clear()
+        params = validate_params(p, q)
+        for value in {lucas_u(params, n) for n in indices}:
+            factorize(value, budget=budget)
+        assert in_run == Counter(rho_work), argv
+        bare_total += len(rho_work)
+    assert bare_total  # rho is reached (U_60 alone factors by trial division)
+
+
+def test_cache_file_gets_only_computed_records(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    path = tmp_path / "facts.cache"
+    argv = ["abc-quality", "--p", "6", "--q", "1", "--from", "46", "--to", "53", "--budget", "100000"]
+    assert run_cli(capsys, [*argv, "--cache", str(path)])[0] == 0
+    records = [int(line.split()[0]) for line in path.read_text(encoding="ascii").splitlines()]
+    params = validate_params(6, 1)
+    terms = {lucas_u(params, n) for n in range(46, 54)}
+    assert sorted(records) == sorted(terms | {params.delta})
+    derived = set()
+    for value in terms:
+        dec = power_free_part(value, 2)
+        derived.update((dec.e, dec.s))
+    assert derived - set(records)  # the run derived e and s it did not write
+
+
+def test_stdout_same_without_memory_and_file_cache(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    path = tmp_path / "shared.cache"
+    for argv in (
+        ["classify", "--p", "6", "--q", "1", "--max", "30", "--k", "3"],
+        ["abc-quality", "--p", "6", "--q", "1", "--from", "40", "--to", "45", "--json"],
+        ["primitive", *FIB, "--n", "60", "--a", "5"],
+        ["verify", *FIB, "--a", "5", "--indices", "5,12"],
+        ["verify", *FIB, "--a", "5", "--k", "3", "--indices", "5,12", "--json"],
+        ["solve", *FIB, "--a", "5", "--max", "40"],
+    ):
+        config = parse_args(argv)
+        code = _RUNNERS[config.subcommand](config, None)
+        no_cache = (code, capsys.readouterr().out)
+        in_memory = run_cli(capsys, argv)[:2]
+        cold_file = run_cli(capsys, [*argv, "--cache", str(path)])[:2]
+        warm_file = run_cli(capsys, [*argv, "--cache", str(path)])[:2]
+        assert no_cache[1]
+        assert no_cache == in_memory == cold_file == warm_file, argv

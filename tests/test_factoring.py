@@ -9,13 +9,14 @@ from lucasprod import (
     NotPrime,
     ZeroInput,
     cache_from_env,
+    factoring,
     factorize,
     power_free_part,
     radical,
     valuation,
 )
-from lucasprod.factoring import CACHE_ENV_VAR
-from lucasprod.intmath import is_probable_prime
+from lucasprod.factoring import CACHE_ENV_VAR, TRIAL_DIVISION_LIMIT
+from lucasprod.intmath import is_probable_prime, primes_below
 
 from _oracles import kth_power_free_part, power_free_by_scan, trial_factorize
 
@@ -70,6 +71,62 @@ def test_semiprime_and_prime_paths():
     assert factorize(p * q).factors == {p: 1, q: 1}
     mersenne = 2 ** 89 - 1  # prime
     assert factorize(mersenne).factors == {mersenne: 1}
+
+
+def _naive_trial_phase(n):
+    """Trial division by every prime below the limit, one at a time, up to
+    the first p with p*p above what is left: (small factors, survivor)."""
+    m = abs(n)
+    factors = {}
+    for p in primes_below(TRIAL_DIVISION_LIMIT):
+        if p * p > m:
+            break
+        while m % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            m //= p
+    return factors, m
+
+
+def test_chunked_trial_division_matches_naive_loop(monkeypatch):
+    big_p, big_q = _next_prime(10 ** 8 + 7), _next_prime(10 ** 8 + 409)
+    hard_p, hard_q = _next_prime(2 ** 50 + 11), _next_prime(2 ** 50 + 1000)
+    # (n, budget, factorization of a composite survivor or None if partial)
+    cases = [
+        (99991, 10 ** 6, None),
+        (99991 ** 2, 10 ** 6, None),
+        (2 ** 40, 10 ** 6, None),
+        (1, 10 ** 6, None),
+        (-1, 10 ** 6, None),
+        (-(2 ** 5) * 3 ** 7 * 99991, 10 ** 6, None),
+        (313 * 317, 10 ** 6, None),  # two primes of one chunk past the first
+        (99989 * 99991, 10 ** 6, None),
+        (99989 * 1000003, 10 ** 6, None),
+        (-99989 * 1000003, 10 ** 6, None),
+        (6 * big_p * big_q, 10 ** 6, {big_p: 1, big_q: 1}),
+        (8 * 99991 * hard_p * hard_q, 10, None),
+    ]
+    handed_to_rho = []
+    real_rho = factoring._brent_rho
+
+    def recording_rho(c, budget):
+        handed_to_rho.append(c)
+        return real_rho(c, budget)
+
+    monkeypatch.setattr(factoring, "_brent_rho", recording_rho)
+    for n, budget, survivor_factors in cases:
+        handed_to_rho.clear()
+        fac = factorize(n, budget=budget)
+        expected, survivor = _naive_trial_phase(n)
+        composite = survivor >= TRIAL_DIVISION_LIMIT ** 2 and not is_probable_prime(survivor)
+        if survivor > 1 and not composite:
+            expected[survivor] = expected.get(survivor, 0) + 1
+        elif composite and survivor_factors is not None:
+            expected.update(survivor_factors)
+        assert fac.sign == (1 if n > 0 else -1)
+        assert fac.factors == dict(sorted(expected.items()))
+        assert fac.cofactor == (survivor if composite and survivor_factors is None else 1)
+        assert handed_to_rho == ([survivor] if composite else [])
+        assert fac.value() == n
 
 
 def test_perfect_power_peeling():
@@ -185,6 +242,38 @@ def test_cache_rejects_malformed_lines(tmp_path):
     wrong.write_text("10 1 3^1\n")  # parses but does not reconstruct 10
     with pytest.raises(ValueError):
         FactorCache(str(wrong))
+
+
+@pytest.mark.parametrize(
+    "record, complaint",
+    [
+        ("6 3 2^1", "sign 3"),  # 3 * 2 reconstructs 6
+        ("15 1 15^1 2^0", "exponent 0"),
+        ("5 1 1^3 5^1", "base 1"),
+        ("4 1 2^2 2^2", "prime 2 is repeated"),  # a dict would keep one 2^2
+    ],
+    ids=["sign", "exponent", "base", "repeated-prime"],
+)
+def test_cache_rejects_corrupt_records(tmp_path, record, complaint):
+    path = tmp_path / "corrupt.cache"
+    path.write_text(f"12 1 2^2 3^1\n{record}\n", encoding="ascii")
+    with pytest.raises(ValueError, match=f"corrupt.cache:2: .*{complaint}"):
+        FactorCache(str(path))
+
+
+def test_power_free_part_keeps_derived_records_in_memory(tmp_path):
+    path = tmp_path / "derived.cache"
+    cache = FactorCache(str(path))
+    n = -(2 ** 7 * 3 ** 2 * 5 * 7 ** 4)
+    dec = power_free_part(n, 3, cache=cache)
+    assert (dec.e, dec.s) == (-(2 * 3 ** 2 * 5 * 7), 2 ** 2 * 7)
+    assert power_free_part(n, 3) == dec
+    e_fac, s_fac = cache.get(dec.e), cache.get(dec.s)
+    assert (e_fac.sign, e_fac.factors, e_fac.cofactor) == (-1, {2: 1, 3: 2, 5: 1, 7: 1}, 1)
+    assert (s_fac.sign, s_fac.factors, s_fac.cofactor) == (1, {2: 2, 7: 1}, 1)
+    # Only what factorize computed reaches the file.
+    assert path.read_text(encoding="ascii") == f"{n} -1 2^7 3^2 5^1 7^4\n"
+    assert len(FactorCache(str(path))) == 1
 
 
 def test_cache_env_precedence(tmp_path, monkeypatch):
