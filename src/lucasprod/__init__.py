@@ -39,18 +39,13 @@ from .factoring import (
     FactorCache,
     Factorization,
     PowerFreeDecomposition,
-    cache_from_env,
     factorize,
     power_free_part,
-    radical,
     valuation,
 )
 from .lucas import (
     LucasParams,
-    LucasTerm,
-    growth_estimate,
     lucas_range,
-    lucas_term,
     lucas_u,
     lucas_u_mod,
     validate_params,
@@ -75,14 +70,10 @@ from .solver import (
 )
 from .square_class import (
     IDENTITY_CLASS,
-    ClassGroup,
     SquareClass,
     abs_prime_support,
     class_mul,
     class_of,
-    compatibility,
-    in_group,
-    supported_power_part,
 )
 
 __version__ = "0.1.0"
@@ -91,33 +82,24 @@ __all__ = [
     "__version__",
     # parameters and terms
     "LucasParams",
-    "LucasTerm",
     "validate_params",
     "lucas_u",
     "lucas_u_mod",
-    "lucas_term",
     "lucas_range",
-    "growth_estimate",
     # factoring
     "Factorization",
     "PowerFreeDecomposition",
     "FactorCache",
     "DEFAULT_RHO_BUDGET",
-    "cache_from_env",
     "factorize",
     "valuation",
-    "radical",
     "power_free_part",
     # square classes
     "SquareClass",
-    "ClassGroup",
     "IDENTITY_CLASS",
     "abs_prime_support",
     "class_of",
     "class_mul",
-    "in_group",
-    "compatibility",
-    "supported_power_part",
     # solver
     "ProductEquation",
     "AdmissibleSet",

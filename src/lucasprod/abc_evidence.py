@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import NonpositiveDiscriminant, NotPrime, SquareDiscriminant
-from .factoring import DEFAULT_RHO_BUDGET, FactorCache, power_free_part
+from .factoring import FactorCache, power_free_part
 from .intmath import is_probable_prime, kronecker_at_prime
 from .lucas import LucasParams, lucas_u
 from .square_class import abs_prime_support
@@ -65,15 +65,11 @@ class QualityReport:
     upper_slack_term: float
 
 
-def field_data(
-    delta: int,
-    budget: int = DEFAULT_RHO_BUDGET,
-    cache: FactorCache | None = None,
-) -> QuadraticFieldData:
+def field_data(delta: int, cache: FactorCache | None = None) -> QuadraticFieldData:
     """Squarefree part, field discriminant, and conductor for Q(sqrt(delta))."""
     if delta <= 0:
         raise NonpositiveDiscriminant(delta)
-    dec = power_free_part(delta, 2, budget=budget, cache=cache)
+    dec = power_free_part(delta, 2, cache=cache)
     if dec.e == 1:
         raise SquareDiscriminant(delta)
     discriminant = dec.e if dec.e % 4 == 1 else 4 * dec.e
@@ -118,15 +114,9 @@ def _checked(params: LucasParams, triple: BinetTriple) -> BinetTriple:
     return triple
 
 
-def make_binet_triple(
-    params: LucasParams,
-    n: int,
-    k: int,
-    budget: int = DEFAULT_RHO_BUDGET,
-    cache: FactorCache | None = None,
-) -> BinetTriple:
+def make_binet_triple(params: LucasParams, n: int, k: int, cache: FactorCache | None = None) -> BinetTriple:
     """Canonical triple for U_n, with e the k-th-power-free part."""
-    dec = power_free_part(lucas_u(params, n), k, budget=budget, cache=cache)
+    dec = power_free_part(lucas_u(params, n), k, cache=cache)
     return _checked(params, BinetTriple(n=n, e=dec.e, s=dec.s, k=k))
 
 
@@ -156,12 +146,7 @@ def binet_height(params: LucasParams, triple: BinetTriple) -> float:
     return max(triple.n * log_alpha, log_middle)
 
 
-def binet_radical(
-    params: LucasParams,
-    triple: BinetTriple,
-    budget: int = DEFAULT_RHO_BUDGET,
-    cache: FactorCache | None = None,
-) -> float:
+def binet_radical(params: LucasParams, triple: BinetTriple, cache: FactorCache | None = None) -> float:
     """Field radical of the triple: (1/2) * sum of log N(q) over prime ideals
     q dividing the middle entry.
 
@@ -169,10 +154,10 @@ def binet_radical(
     and inert primes contribute log p, ramified ones (log p)/2. A prime
     ramified in K but dividing none of delta, e, s never enters the sum.
     """
-    field = field_data(params.delta, budget=budget, cache=cache)
-    support: set[int] = set(abs_prime_support(params.delta, budget=budget, cache=cache))
-    support.update(abs_prime_support(triple.e, budget=budget, cache=cache))
-    support.update(abs_prime_support(triple.s, budget=budget, cache=cache))
+    field = field_data(params.delta, cache=cache)
+    support: set[int] = set(abs_prime_support(params.delta, cache=cache))
+    support.update(abs_prime_support(triple.e, cache=cache))
+    support.update(abs_prime_support(triple.s, cache=cache))
     total = 0.0
     for p in sorted(support):
         contribution = math.log(p)
@@ -182,17 +167,11 @@ def binet_radical(
     return total
 
 
-def quality_report(
-    params: LucasParams,
-    n: int,
-    k: int,
-    budget: int = DEFAULT_RHO_BUDGET,
-    cache: FactorCache | None = None,
-) -> QualityReport:
+def quality_report(params: LucasParams, n: int, k: int, cache: FactorCache | None = None) -> QualityReport:
     """Height, radical, their ratio, and the two slack terms for index n."""
-    triple = make_binet_triple(params, n, k, budget=budget, cache=cache)
+    triple = make_binet_triple(params, n, k, cache=cache)
     height = binet_height(params, triple)
-    radical = binet_radical(params, triple, budget=budget, cache=cache)
+    radical = binet_radical(params, triple, cache=cache)
     return QualityReport(
         height=height,
         radical=radical,

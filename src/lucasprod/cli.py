@@ -6,17 +6,20 @@ byte-identical output. Exit codes separate the outcomes: 0 success, 1 a
 mathematical rejection (including a --prime proved composite), 2 bad usage
 or an internal error, 3 factorization budget exhausted.
 
-Every subcommand that factors runs on one FactorCache, so a complete
-factorization is computed once per run and then reused: the --cache / LUCAS_FACTOR_CACHE
-file when one is named, else a fresh in-memory cache that dies with the run.
-The k-free parts and roots derived from a factorization are held in memory
-only; the file receives only the records that factoring computed.
+Each run builds one FactorCache, its only factoring context: it carries the
+--budget and holds every factorization the run computes, so each integer is
+factored once per run. It is backed by the --cache file, else the file named
+by LUCAS_FACTOR_CACHE, else by nothing and dies with the run; seq and rank
+never load the file. The k-free parts and roots derived from a factorization
+are held in memory only; the file receives only the records that factoring
+computed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -32,7 +35,7 @@ from .errors import (
     VerificationError,
     ZeroInput,
 )
-from .factoring import DEFAULT_RHO_BUDGET, FactorCache, cache_from_env, power_free_part
+from .factoring import DEFAULT_RHO_BUDGET, FactorCache, power_free_part
 from .lucas import lucas_range, lucas_u, validate_params
 from .primitive import obstruction_filter, primitive_divisors, rank_of_apparition
 from .solver import (
@@ -43,6 +46,8 @@ from .solver import (
     verify_solution,
 )
 from .square_class import class_of
+
+CACHE_ENV_VAR = "LUCAS_FACTOR_CACHE"
 
 
 @dataclass
@@ -216,8 +221,8 @@ def _run_classify(config: RunConfig, cache: FactorCache | None) -> int:
     terms = lucas_range(params, config.max_index)
     rows = []
     for n in range(1, config.max_index + 1):
-        dec = power_free_part(terms[n], config.k, budget=config.budget, cache=cache)
-        cls = class_of(terms[n], budget=config.budget, cache=cache)
+        dec = power_free_part(terms[n], config.k, cache=cache)
+        cls = class_of(terms[n], cache=cache)
         rows.append((n, terms[n], dec.e, dec.s, cls.as_integer()))
     if config.as_json:
         _emit_json(
@@ -247,7 +252,7 @@ def _equation(config: RunConfig, max_index: int, max_factors: int) -> ProductEqu
 
 def _run_admissible(config: RunConfig, cache: FactorCache | None) -> int:
     eq = _equation(config, config.max_index, 1)
-    adm = admissible_indices(eq, budget=config.budget, cache=cache)
+    adm = admissible_indices(eq, cache=cache)
     if config.as_json:
         _emit_json(config, list(adm.indices))
     else:
@@ -257,7 +262,7 @@ def _run_admissible(config: RunConfig, cache: FactorCache | None) -> int:
 
 def _run_solve(config: RunConfig, cache: FactorCache | None) -> int:
     eq = _equation(config, config.max_index, config.max_factors)
-    certs = enumerate_solutions(eq, budget=config.budget, cache=cache)
+    certs = enumerate_solutions(eq, cache=cache)
     if config.as_json:
         _emit_json(config, [_certificate_json(c) for c in certs])
     else:
@@ -269,7 +274,7 @@ def _run_solve(config: RunConfig, cache: FactorCache | None) -> int:
 def _run_verify(config: RunConfig, cache: FactorCache | None) -> int:
     eq = _equation(config, max(max(config.indices), 2), len(config.indices))
     try:
-        cert = verify_solution(eq, config.indices, budget=config.budget, cache=cache)
+        cert = verify_solution(eq, config.indices, cache=cache)
     except VerificationError as exc:
         if config.as_json:
             _emit_json(config, [], error={"type": type(exc).__name__, "message": str(exc)})
@@ -289,7 +294,7 @@ def _run_verify(config: RunConfig, cache: FactorCache | None) -> int:
 def _run_rank(config: RunConfig, cache: FactorCache | None) -> int:
     params = validate_params(config.p, config.q)
     try:
-        rank = rank_of_apparition(params, config.prime, budget=config.budget)
+        rank = rank_of_apparition(params, config.prime, cache=cache)
     except NotFoundWithinBound as exc:
         if config.as_json:
             _emit_json(config, [], error={"type": type(exc).__name__, "message": str(exc)})
@@ -305,12 +310,10 @@ def _run_rank(config: RunConfig, cache: FactorCache | None) -> int:
 
 def _run_primitive(config: RunConfig, cache: FactorCache | None) -> int:
     params = validate_params(config.p, config.q)
-    report = primitive_divisors(params, config.n, budget=config.budget, cache=cache)
+    report = primitive_divisors(params, config.n, cache=cache)
     verdict = None
     if config.a is not None:
-        verdict = obstruction_filter(
-            params, config.a, config.n, k=config.k, budget=config.budget, cache=cache
-        )
+        verdict = obstruction_filter(params, config.a, config.n, k=config.k, cache=cache)
     value = lucas_u(params, config.n)
     if config.as_json:
         body = {
@@ -346,7 +349,7 @@ def _run_abc_quality(config: RunConfig, cache: FactorCache | None) -> int:
         raise ValueError(f"--from must be >= 1, got {config.from_n}")
     rows = []
     for n in range(config.from_n, config.to_n + 1):
-        report = quality_report(params, n, config.k, budget=config.budget, cache=cache)
+        report = quality_report(params, n, config.k, cache=cache)
         rows.append((n, report))
     if config.as_json:
         _emit_json(
@@ -387,14 +390,11 @@ _RUNNERS = {
 
 def run(config: RunConfig) -> int:
     """Dispatch a parsed invocation; exceptions map to the exit-code contract."""
-    # seq and rank never read the factor cache, so they skip loading it.
-    cache = None
+    path = None
+    # seq factors nothing and rank one number, so neither loads the file.
     if config.subcommand not in ("seq", "rank"):
-        # `is None`, not `or`: an empty file-backed cache is falsy (__len__).
-        cache = cache_from_env(config.cache_path)
-        if cache is None:
-            cache = FactorCache()
-    return _RUNNERS[config.subcommand](config, cache)
+        path = config.cache_path or os.environ.get(CACHE_ENV_VAR) or None
+    return _RUNNERS[config.subcommand](config, FactorCache(path, budget=config.budget))
 
 
 def main(argv: list[str] | None = None) -> int:

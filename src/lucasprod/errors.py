@@ -63,9 +63,6 @@ class IncompleteFactorization(LucasProdError):
         where = f" while factoring the term at index {index}" if index is not None else ""
         super().__init__(f"factorization budget exhausted at composite {cofactor}{where}")
 
-    def at_index(self, index: int) -> "IncompleteFactorization":
-        return IncompleteFactorization(self.cofactor, index)
-
 
 class NotFoundWithinBound(LucasProdError):
     """p does not divide U_index, where index = p - (delta/p).

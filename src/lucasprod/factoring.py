@@ -7,7 +7,10 @@ restarts. The budget is counted in rho iterations per composite; when it runs
 out the result is Partial and callers that need completeness get a typed
 IncompleteFactorization.
 
-A FactorCache makes each distinct integer cost one factorization. Given one,
+A FactorCache is the one factoring context of a run: it carries the rho
+budget and makes each distinct integer cost one factorization. Every function
+above ``factorize`` takes it as ``cache=``; without one, ``factorize`` runs
+at DEFAULT_RHO_BUDGET and remembers nothing. Given a cache,
 ``power_free_part`` also records the exact factorizations of the k-free part
 e and the root s it derives, in memory only, so later lookups of e and s need
 no rho; a cache file receives only the records ``factorize`` computed.
@@ -20,13 +23,14 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import IncompleteFactorization, NotPrime, ZeroInput
-from .intmath import integer_kth_root, is_probable_prime, primes_below
+from .intmath import integer_kth_root, is_probable_prime, prime_sieve
 
 TRIAL_DIVISION_LIMIT = 100_000
 DEFAULT_RHO_BUDGET = 10 ** 8
-CACHE_ENV_VAR = "LUCAS_FACTOR_CACHE"
 
-_TRIAL_PRIMES = primes_below(TRIAL_DIVISION_LIMIT)
+# _TRIAL_SIEVE[p] == 1 exactly for the primes p below the trial limit.
+_TRIAL_SIEVE = prime_sieve(TRIAL_DIVISION_LIMIT)
+_TRIAL_PRIMES = [p for p in range(TRIAL_DIVISION_LIMIT) if _TRIAL_SIEVE[p]]
 # Trial primes in chunks, each with the product of its primes: one gcd with
 # the product tells whether any prime of the chunk divides.
 _TRIAL_CHUNK = 64
@@ -63,14 +67,6 @@ class Factorization:
             n *= p ** e
         return self.sign * n
 
-    def radical(self) -> int:
-        if not self.complete:
-            raise IncompleteFactorization(self.cofactor)
-        result = 1
-        for p in self.factors:
-            result *= p
-        return result
-
     def support(self) -> tuple[int, ...]:
         if not self.complete:
             raise IncompleteFactorization(self.cofactor)
@@ -90,7 +86,7 @@ class PowerFreeDecomposition:
 
 
 class FactorCache:
-    """Persistent store of complete factorizations.
+    """Store of complete factorizations, and the rho budget to compute them at.
 
     File format, one record per line: ``N <sign> <p1>^<e1> <p2>^<e2> ...``.
     The file is loaded fully at construction and appended on new complete
@@ -98,8 +94,9 @@ class FactorCache:
     ``path=None`` keeps the cache purely in memory.
     """
 
-    def __init__(self, path: str | None = None):
+    def __init__(self, path: str | None = None, budget: int = DEFAULT_RHO_BUDGET):
         self.path = path
+        self.budget = budget
         self._entries: dict[int, Factorization] = {}
         if path is not None and os.path.exists(path):
             self._load(path)
@@ -110,11 +107,10 @@ class FactorCache:
     def _load(self, path: str) -> None:
         with open(path, "r", encoding="ascii") as handle:
             for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
+                fields = line.split()
+                if not fields:
                     continue
                 try:
-                    fields = line.split()
                     n = int(fields[0])
                     sign = int(fields[1])
                     pairs = []
@@ -122,11 +118,11 @@ class FactorCache:
                         p_text, e_text = item.split("^")
                         pairs.append((int(p_text), int(e_text)))
                 except (ValueError, IndexError) as exc:
-                    raise ValueError(f"{path}:{lineno}: malformed cache line {line!r}") from exc
-                # Structural checks; the bases are not tested for primality here.
+                    raise ValueError(f"{path}:{lineno}: malformed cache line {line.strip()!r}") from exc
                 if sign not in (-1, 1):
                     raise ValueError(f"{path}:{lineno}: sign {sign} is not +1 or -1")
                 factors: dict[int, int] = {}
+                value = sign
                 for p, e in pairs:
                     if p < 2:
                         raise ValueError(f"{path}:{lineno}: base {p} is below 2")
@@ -135,10 +131,15 @@ class FactorCache:
                     if p in factors:
                         raise ValueError(f"{path}:{lineno}: prime {p} is repeated")
                     factors[p] = e
-                fac = Factorization(sign, factors)
-                if fac.value() != n:
+                    value *= p ** e
+                if value != n:
                     raise ValueError(f"{path}:{lineno}: record does not reconstruct {n}")
-                self._entries[n] = fac
+                # With prime bases, a record that reconstructs N is N's unique
+                # factorization, so two records for one N cannot disagree.
+                for p in factors:
+                    if not (_TRIAL_SIEVE[p] if p < TRIAL_DIVISION_LIMIT else is_probable_prime(p)):
+                        raise ValueError(f"{path}:{lineno}: base {p} is not prime")
+                self._entries[n] = Factorization(sign, factors)
 
     def get(self, n: int) -> Factorization | None:
         hit = self._entries.get(n)
@@ -158,12 +159,6 @@ class FactorCache:
             line = f"{n} {fac.sign} {items}".rstrip()
             with open(self.path, "a", encoding="ascii") as handle:
                 handle.write(line + "\n")
-
-
-def cache_from_env(flag_path: str | None = None) -> FactorCache | None:
-    """Cache selected by explicit path first, then LUCAS_FACTOR_CACHE, else none."""
-    path = flag_path or os.environ.get(CACHE_ENV_VAR)
-    return FactorCache(path) if path else None
 
 
 def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
@@ -208,8 +203,9 @@ def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
     return None, used
 
 
-def factorize(n: int, budget: int = DEFAULT_RHO_BUDGET, cache: FactorCache | None = None) -> Factorization:
-    """Factor a nonzero integer; Partial (composite cofactor) when budget runs out."""
+def factorize(n: int, cache: FactorCache | None = None) -> Factorization:
+    """Factor a nonzero integer; Partial (composite cofactor) when the budget
+    runs out. The rho budget is the cache's, else DEFAULT_RHO_BUDGET."""
     if n == 0:
         raise ZeroInput("factorization input")
     if cache is not None:
@@ -249,7 +245,7 @@ def factorize(n: int, budget: int = DEFAULT_RHO_BUDGET, cache: FactorCache | Non
                 break
         if peeled:
             continue
-        divisor, _ = _brent_rho(c, budget)
+        divisor, _ = _brent_rho(c, DEFAULT_RHO_BUDGET if cache is None else cache.budget)
         if divisor is None:
             cofactor *= c
             continue
@@ -276,18 +272,7 @@ def valuation(n: int, p: int) -> int:
     return t
 
 
-def radical(n: int, budget: int = DEFAULT_RHO_BUDGET, cache: FactorCache | None = None) -> int:
-    """Product of the distinct primes dividing |n|; rad(+-1) = 1."""
-    fac = factorize(n, budget=budget, cache=cache)
-    return fac.radical()
-
-
-def power_free_part(
-    n: int,
-    k: int,
-    budget: int = DEFAULT_RHO_BUDGET,
-    cache: FactorCache | None = None,
-) -> PowerFreeDecomposition:
+def power_free_part(n: int, k: int, cache: FactorCache | None = None) -> PowerFreeDecomposition:
     """Unique decomposition n = e * s^k with e k-th-power-free, sign on e.
 
     With a cache, the factorizations of e and s read off that of n are kept
@@ -295,7 +280,7 @@ def power_free_part(
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    fac = factorize(n, budget=budget, cache=cache)
+    fac = factorize(n, cache=cache)
     if not fac.complete:
         raise IncompleteFactorization(fac.cofactor)
     e_factors = {p: exp % k for p, exp in fac.factors.items() if exp % k}

@@ -16,17 +16,23 @@ _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
-def primes_below(limit: int) -> list[int]:
-    """All primes < limit, by a byte sieve."""
+def prime_sieve(limit: int) -> bytearray:
+    """Byte sieve: entry i is 1 exactly when i is prime, for 0 <= i < limit."""
     if limit <= 2:
-        return []
+        return bytearray(max(limit, 0))
     sieve = bytearray([1]) * limit
     sieve[0] = sieve[1] = 0
     for p in range(2, isqrt(limit - 1) + 1):
         if sieve[p]:
             start = p * p
             sieve[start::p] = bytearray(len(range(start, limit, p)))
-    return [i for i in range(limit) if sieve[i]]
+    return sieve
+
+
+def primes_below(limit: int) -> list[int]:
+    """All primes < limit."""
+    sieve = prime_sieve(limit)
+    return [i for i in range(len(sieve)) if sieve[i]]
 
 
 _MR_LARGE_BASES = tuple(primes_below(174))  # first 40 primes: 2 .. 173

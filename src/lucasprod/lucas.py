@@ -33,12 +33,6 @@ class LucasParams:
     beta: float
 
 
-@dataclass(frozen=True)
-class LucasTerm:
-    n: int
-    value: int
-
-
 def validate_params(p: int, q: int) -> LucasParams:
     """Check q = +-1, delta > 0 and delta nonsquare; return the parameter card."""
     if q not in (-1, 1):
@@ -99,10 +93,6 @@ def lucas_u_mod(params: LucasParams, n: int, m: int) -> int:
     return _doubling_pair(params, n, m)[0]
 
 
-def lucas_term(params: LucasParams, n: int, *, index_cap: int = DEFAULT_INDEX_CAP) -> LucasTerm:
-    return LucasTerm(n=n, value=lucas_u(params, n, index_cap=index_cap))
-
-
 def lucas_range(params: LucasParams, n_max: int, *, index_cap: int = DEFAULT_INDEX_CAP) -> list[int]:
     """[U_0, U_1, ..., U_{n_max}] by the three-term recurrence."""
     if n_max < 0:
@@ -113,14 +103,3 @@ def lucas_range(params: LucasParams, n_max: int, *, index_cap: int = DEFAULT_IND
     for _ in range(n_max - 1):
         terms.append(params.p * terms[-1] + params.q * terms[-2])
     return terms[: n_max + 1]
-
-
-def growth_estimate(params: LucasParams, n: int) -> float:
-    """Leading Binet approximation to log|U_n|: n*log|alpha| - log(sqrt(delta)).
-
-    The neglected term is log|1 - (beta/alpha)^n|, which decays geometrically,
-    so the estimate is loose for tiny n and sharp from n around 20 on.
-    """
-    if n < 1:
-        raise ValueError(f"index must be >= 1, got {n}")
-    return n * math.log(abs(params.alpha)) - 0.5 * math.log(params.delta)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IncompleteFactorization, NotFoundWithinBound, NotPrime
-from .factoring import DEFAULT_RHO_BUDGET, FactorCache, factorize
+from .factoring import FactorCache, factorize
 from .intmath import is_probable_prime, kronecker_at_prime
 from .lucas import LucasParams, lucas_u, lucas_u_mod
 from .square_class import abs_prime_support
@@ -45,21 +45,22 @@ class ObstructionVerdict:
     prime: int | None = None
 
 
-def rank_of_apparition(params: LucasParams, p: int, budget: int = DEFAULT_RHO_BUDGET) -> RankOfApparition:
+def rank_of_apparition(params: LucasParams, p: int, cache: FactorCache | None = None) -> RankOfApparition:
     """Smallest n >= 1 with p | U_n, by descent on the divisors of m = p - (delta/p).
 
     Law of apparition (Lucas 1878): a prime p divides U_m, and p | U_n iff
-    z(p) | n. So z starts at m, factored at ``budget`` with no persistent
-    cache, and sheds each prime l of m while p | U_{z/l}. U_m != 0 (mod p)
-    proves p composite whatever the probable-prime test said: that raises
-    NotFoundWithinBound and returns no rank.
+    z(p) | n. So z starts at m, factored through ``cache`` like any other
+    integer (a cache file thus also receives m), and sheds each prime l of m
+    while p | U_{z/l}. U_m != 0 (mod p) proves p composite whatever the
+    probable-prime test said: that raises NotFoundWithinBound and returns no
+    rank.
     """
     if p < 2 or not is_probable_prime(p):
         raise NotPrime(p)
     m = p - kronecker_at_prime(params.delta, p)
     if lucas_u_mod(params, m, p) != 0:
         raise NotFoundWithinBound(p, m)
-    fac = factorize(m, budget=budget)
+    fac = factorize(m, cache=cache)
     if not fac.complete:
         raise IncompleteFactorization(fac.cofactor)
     z = m
@@ -69,17 +70,9 @@ def rank_of_apparition(params: LucasParams, p: int, budget: int = DEFAULT_RHO_BU
     return RankOfApparition(p=p, z=z)
 
 
-def rank_set(
-    params: LucasParams,
-    a: int,
-    budget: int = DEFAULT_RHO_BUDGET,
-    cache: FactorCache | None = None,
-) -> frozenset[int]:
+def rank_set(params: LucasParams, a: int, cache: FactorCache | None = None) -> frozenset[int]:
     """Ranks of apparition of the primes dividing the coefficient."""
-    return frozenset(
-        rank_of_apparition(params, p, budget=budget).z
-        for p in abs_prime_support(a, budget=budget, cache=cache)
-    )
+    return frozenset(rank_of_apparition(params, p, cache=cache).z for p in abs_prime_support(a, cache=cache))
 
 
 def _is_primitive(params: LucasParams, p: int, n: int) -> bool:
@@ -100,17 +93,12 @@ def _is_primitive(params: LucasParams, p: int, n: int) -> bool:
     return remaining == 1 or lucas_u_mod(params, n // remaining, p) != 0
 
 
-def primitive_divisors(
-    params: LucasParams,
-    n: int,
-    budget: int = DEFAULT_RHO_BUDGET,
-    cache: FactorCache | None = None,
-) -> PrimitiveReport:
+def primitive_divisors(params: LucasParams, n: int, cache: FactorCache | None = None) -> PrimitiveReport:
     """All prime divisors of U_n with multiplicities and primitivity marks."""
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
     value = lucas_u(params, n)
-    fac = factorize(value, budget=budget, cache=cache)
+    fac = factorize(value, cache=cache)
     if not fac.complete:
         raise IncompleteFactorization(fac.cofactor, index=n)
     entries = tuple(
@@ -125,7 +113,6 @@ def obstruction_filter(
     a: int,
     n: int,
     k: int = 2,
-    budget: int = DEFAULT_RHO_BUDGET,
     cache: FactorCache | None = None,
 ) -> ObstructionVerdict:
     """Unconditional exclusion test for an index in a coprime product solution.
@@ -139,14 +126,14 @@ def obstruction_filter(
         raise ValueError(f"index must be >= 2, got {n}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    ranks = rank_set(params, a, budget=budget, cache=cache)
+    ranks = rank_set(params, a, cache=cache)
     if n in ranks:
         return ObstructionVerdict(
             admissible=True,
             reason=f"index {n} is the rank of apparition of a prime dividing a={a}",
         )
-    support = set(abs_prime_support(a, budget=budget, cache=cache))
-    report = primitive_divisors(params, n, budget=budget, cache=cache)
+    support = set(abs_prime_support(a, cache=cache))
+    report = primitive_divisors(params, n, cache=cache)
     for entry in report.entries:
         if entry.primitive and entry.prime not in support and entry.multiplicity == 1:
             return ObstructionVerdict(

@@ -22,7 +22,7 @@ from .errors import (
     NotPairwiseCoprime,
     SeparationLawViolation,
 )
-from .factoring import DEFAULT_RHO_BUDGET, FactorCache, factorize, valuation
+from .factoring import FactorCache, factorize, valuation
 from .intmath import perfect_kth_power_root
 from .lucas import LucasParams, lucas_range, lucas_u
 from .square_class import IDENTITY_CLASS, abs_prime_support, class_mul, class_of
@@ -80,25 +80,17 @@ class SolutionCertificate:
     trivial: bool
 
 
-def _coefficient_support(eq: ProductEquation, budget: int, cache: FactorCache | None) -> tuple[int, ...]:
-    return abs_prime_support(eq.a, budget=budget, cache=cache)
-
-
-def admissible_indices(
-    eq: ProductEquation,
-    budget: int = DEFAULT_RHO_BUDGET,
-    cache: FactorCache | None = None,
-) -> AdmissibleSet:
+def admissible_indices(eq: ProductEquation, cache: FactorCache | None = None) -> AdmissibleSet:
     """All n in [2, max_index] whose U_n has k-free part supported on Supp(a).
 
     Needs a complete factorization of every term in range; the typed failure
     names the first index whose factorization exceeded the budget.
     """
-    support = set(_coefficient_support(eq, budget, cache))
+    support = set(abs_prime_support(eq.a, cache=cache))
     terms = lucas_range(eq.params, eq.max_index)
     admitted = []
     for n in range(2, eq.max_index + 1):
-        fac = factorize(terms[n], budget=budget, cache=cache)
+        fac = factorize(terms[n], cache=cache)
         if not fac.complete:
             raise IncompleteFactorization(fac.cofactor, index=n)
         if all(p in support or exp % eq.k == 0 for p, exp in fac.factors.items()):
@@ -125,18 +117,14 @@ def _quotient_root(b: int, a: int, k: int) -> int | None:
     return perfect_kth_power_root(quotient, k)
 
 
-def enumerate_solutions(
-    eq: ProductEquation,
-    budget: int = DEFAULT_RHO_BUDGET,
-    cache: FactorCache | None = None,
-) -> list[SolutionCertificate]:
+def enumerate_solutions(eq: ProductEquation, cache: FactorCache | None = None) -> list[SolutionCertificate]:
     """All canonical solutions, sorted lexicographically by index tuple.
 
     Depth-first over the sorted admissible set with gcd pruning; tuples are
     strictly increasing, pairwise coprime, of size <= max_factors. The empty
     tuple appears (flagged trivial) exactly when a = +-y^k is solvable.
     """
-    admissible = admissible_indices(eq, budget=budget, cache=cache).indices
+    admissible = admissible_indices(eq, cache=cache).indices
     terms = lucas_range(eq.params, eq.max_index)
 
     certificates = []
@@ -154,9 +142,7 @@ def enumerate_solutions(
             chosen.append(n)
             candidate_product = product * terms[n]
             if _quotient_root(candidate_product, eq.a, eq.k) is not None:
-                certificates.append(
-                    verify_solution(eq, tuple(chosen), budget=budget, cache=cache)
-                )
+                certificates.append(verify_solution(eq, tuple(chosen), cache=cache))
             if len(chosen) < eq.max_factors:
                 extend(pos + 1, candidate_product)
             chosen.pop()
@@ -167,10 +153,7 @@ def enumerate_solutions(
 
 
 def verify_solution(
-    eq: ProductEquation,
-    indices: tuple[int, ...],
-    budget: int = DEFAULT_RHO_BUDGET,
-    cache: FactorCache | None = None,
+    eq: ProductEquation, indices: tuple[int, ...], cache: FactorCache | None = None
 ) -> SolutionCertificate:
     """Certificate for the given index tuple, or a typed rejection.
 
@@ -193,11 +176,11 @@ def verify_solution(
             if g != 1:
                 raise NotPairwiseCoprime(stripped[i], stripped[j])
 
-    support = set(_coefficient_support(eq, budget, cache))
+    support = set(abs_prime_support(eq.a, cache=cache))
     term_values = {n: lucas_u(eq.params, n) for n in stripped}
     term_factorizations: dict[int, dict[int, int]] = {}
     for n in stripped:
-        fac = factorize(term_values[n], budget=budget, cache=cache)
+        fac = factorize(term_values[n], cache=cache)
         if not fac.complete:
             raise IncompleteFactorization(fac.cofactor, index=n)
         term_factorizations[n] = fac.factors
@@ -211,13 +194,11 @@ def verify_solution(
     if eq.k == 2:
         product_class = IDENTITY_CLASS
         for n in stripped:
-            product_class = class_mul(
-                product_class, class_of(term_values[n], budget=budget, cache=cache)
-            )
-        if product_class != class_of(eq.a, budget=budget, cache=cache):
+            product_class = class_mul(product_class, class_of(term_values[n], cache=cache))
+        if product_class != class_of(eq.a, cache=cache):
             raise ClassMismatch(
                 f"product class {product_class.as_integer()} differs from the "
-                f"coefficient class {class_of(eq.a, budget=budget, cache=cache).as_integer()}"
+                f"coefficient class {class_of(eq.a, cache=cache).as_integer()}"
             )
 
     product = 1
@@ -231,7 +212,7 @@ def verify_solution(
                 (), trivial.y, True, {}, canonical=True, trivial=True
             )
 
-    coefficient_factors = factorize(eq.a, budget=budget, cache=cache).factors
+    coefficient_factors = factorize(eq.a, cache=cache).factors
     if product % eq.a != 0:
         deficits = [
             p

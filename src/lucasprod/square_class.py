@@ -1,5 +1,4 @@
-"""Square classes in Q^x / (Q^x)^2 and the finite groups generated by -1 and
-a prime set, plus the S-supported k-th-power-free predicate.
+"""Square classes in Q^x / (Q^x)^2 and their group law.
 
 A class is stored canonically as a sign and a strictly sorted prime tuple;
 the represented integer sign * prod(primes) is the signed squarefree part.
@@ -8,10 +7,8 @@ the represented integer sign * prod(primes) is the signed squarefree part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from .errors import IncompleteFactorization
-from .factoring import DEFAULT_RHO_BUDGET, FactorCache, factorize, power_free_part
+from .factoring import FactorCache, factorize, power_free_part
 from .intmath import is_probable_prime
 
 
@@ -43,49 +40,16 @@ class SquareClass:
 IDENTITY_CLASS = SquareClass(1, ())
 
 
-@dataclass(frozen=True)
-class ClassGroup:
-    """Subgroup generated by -1 and the primes of a finite support set."""
-
-    support: frozenset[int]
-
-    @classmethod
-    def from_primes(cls, primes: Iterable[int]) -> "ClassGroup":
-        return cls(frozenset(primes))
-
-    @classmethod
-    def from_coefficient(
-        cls,
-        a: int,
-        budget: int = DEFAULT_RHO_BUDGET,
-        cache: FactorCache | None = None,
-    ) -> "ClassGroup":
-        """The group attached to a coefficient: generated by -1 and primes of |a|."""
-        return cls(frozenset(abs_prime_support(a, budget=budget, cache=cache)))
-
-
-def abs_prime_support(
-    n: int,
-    budget: int = DEFAULT_RHO_BUDGET,
-    cache: FactorCache | None = None,
-) -> tuple[int, ...]:
+def abs_prime_support(n: int, cache: FactorCache | None = None) -> tuple[int, ...]:
     """Sorted distinct primes dividing |n|."""
-    fac = factorize(n, budget=budget, cache=cache)
-    if not fac.complete:
-        raise IncompleteFactorization(fac.cofactor)
-    return tuple(sorted(fac.factors))
+    return factorize(n, cache=cache).support()
 
 
-def class_of(
-    n: int,
-    budget: int = DEFAULT_RHO_BUDGET,
-    cache: FactorCache | None = None,
-) -> SquareClass:
+def class_of(n: int, cache: FactorCache | None = None) -> SquareClass:
     """Canonical class of n: the sign and primes of its signed squarefree part."""
-    decomposition = power_free_part(n, 2, budget=budget, cache=cache)
-    e = decomposition.e
+    e = power_free_part(n, 2, cache=cache).e
     sign = 1 if e > 0 else -1
-    primes = abs_prime_support(e, budget=budget, cache=cache) if abs(e) > 1 else ()
+    primes = abs_prime_support(e, cache=cache) if abs(e) > 1 else ()
     return SquareClass(sign=sign, primes=primes)
 
 
@@ -93,36 +57,3 @@ def class_mul(c1: SquareClass, c2: SquareClass) -> SquareClass:
     """Group law: signs multiply, prime sets combine by symmetric difference."""
     primes = tuple(sorted(set(c1.primes) ^ set(c2.primes)))
     return SquareClass(sign=c1.sign * c2.sign, primes=primes)
-
-
-def in_group(c: SquareClass, group: ClassGroup) -> bool:
-    """Membership test; the sign is always allowed since -1 is a generator."""
-    return set(c.primes) <= group.support
-
-
-def compatibility(
-    classes: Iterable[SquareClass],
-    a: int,
-    budget: int = DEFAULT_RHO_BUDGET,
-    cache: FactorCache | None = None,
-) -> bool:
-    """Whether the product of the classes equals the class of the coefficient."""
-    product = IDENTITY_CLASS
-    for c in classes:
-        product = class_mul(product, c)
-    return product == class_of(a, budget=budget, cache=cache)
-
-
-def supported_power_part(
-    n: int,
-    k: int,
-    support: Iterable[int],
-    budget: int = DEFAULT_RHO_BUDGET,
-    cache: FactorCache | None = None,
-) -> bool:
-    """True iff the k-th-power-free part of n has all its primes in ``support``."""
-    decomposition = power_free_part(n, k, budget=budget, cache=cache)
-    e = decomposition.e
-    if abs(e) == 1:
-        return True
-    return set(abs_prime_support(e, budget=budget, cache=cache)) <= set(support)

@@ -10,6 +10,7 @@ import pytest
 from mpmath import mp
 
 from lucasprod import (
+    FactorCache,
     IncompleteFactorization,
     NonpositiveDiscriminant,
     NotPrime,
@@ -219,4 +220,4 @@ def test_quality_report_fields(fib, pell, shared_cache):
 
 def test_quality_report_budget_error(fib):
     with pytest.raises(IncompleteFactorization):
-        quality_report(fib, 67, 2, budget=100)
+        quality_report(fib, 67, 2, cache=FactorCache(budget=100))

@@ -18,9 +18,9 @@ from collections import Counter
 
 import pytest
 
-from lucasprod import SeparationLawViolation, factoring, solver
-from lucasprod.cli import _RUNNERS, main, parse_args
-from lucasprod.factoring import CACHE_ENV_VAR, factorize, power_free_part
+from lucasprod import FactorCache, SeparationLawViolation, factoring, solver
+from lucasprod.cli import _RUNNERS, CACHE_ENV_VAR, main, parse_args
+from lucasprod.factoring import factorize, power_free_part
 from lucasprod.lucas import lucas_u, validate_params
 
 FIB = ["--p", "1", "--q", "1"]
@@ -208,6 +208,21 @@ def test_budget_exhaustion_names_the_composite(capsys):
     assert code == 3
     assert "budget exhausted" in err
     assert re.search(r"composite \d{8,}", err)
+    # --budget reaches every subcommand that factors. Trial division leaves
+    # 167083904137 = 116849 * 1429913 of U_67 to rho, and 10000000002200000000057
+    # of p - (5/p) for the prime p = A of primitive --a (its rank of apparition).
+    u67 = "167083904137"
+    for argv, composite in (
+        (["classify", *FIB, "--max", "67"], u67),
+        (["admissible", *FIB, "--a", "5", "--max", "67"], u67),
+        (["solve", *FIB, "--a", "5", "--max", "67"], u67),
+        (["verify", *FIB, "--a", "5", "--indices", "67"], u67),
+        (["primitive", *FIB, "--n", "10", "--a", "240000000052800000001369"], "10000000002200000000057"),
+        (["abc-quality", *FIB, "--from", "67", "--to", "67"], u67),
+    ):
+        code, out, err = run_cli(capsys, [*argv, "--budget", "100"])
+        assert (code, out) == (3, ""), argv
+        assert f"budget exhausted at composite {composite}" in err, argv
 
 
 def test_primitive_report_and_verdict(capsys):
@@ -299,13 +314,40 @@ def test_console_script_smoke():
 
 def test_corrupt_cache_record_is_refused(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-    argv = ["admissible", *FIB, "--a", "6", "--k", "3", "--max", "30"]
-    assert run_cli(capsys, argv)[:2] == (0, "2 3 4 6 12\n")
     bad = tmp_path / "bad.cache"
-    bad.write_text("6 3 2^1\n", encoding="ascii")  # 3 * 2 = 6, but 3 is not a sign
-    code, out, err = run_cli(capsys, [*argv, "--cache", str(bad)])
-    assert (code, out) == (2, "")
-    assert "bad.cache:1: sign 3" in err
+    for record, argv, honest, complaint in (
+        # 3 * 2 = 6, but 3 is not a sign.
+        ("6 3 2^1", ["admissible", *FIB, "--a", "6", "--k", "3", "--max", "30"], (0, "2 3 4 6 12\n"), "sign 3"),
+        # Read as the factorization of 8, it hides the cube 2^3 = U_6 from A = 2.
+        ("8 1 8^1", ["admissible", *FIB, "--a", "2", "--k", "3", "--max", "12"], (0, "2 3 6\n"), "base 8 is not prime"),
+        # Read as the factorization of A = 15, it puts U_5 = 5 outside Supp(A).
+        (
+            "15 1 15^1",
+            ["verify", *FIB, "--a", "15", "--indices", "5"],
+            (1, "rejected: product class 5 differs from the coefficient class 15\n"),
+            "base 15 is not prime",
+        ),
+    ):
+        assert run_cli(capsys, argv)[:2] == honest
+        bad.write_text(record + "\n", encoding="ascii")
+        code, out, err = run_cli(capsys, [*argv, "--cache", str(bad)])
+        assert (code, out) == (2, ""), record
+        assert f"bad.cache:1: {complaint}" in err
+
+
+def test_no_cache_named_writes_no_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    for argv in (
+        ["classify", *FIB, "--max", "20"],
+        ["solve", *FIB, "--a", "5", "--max", "20"],
+        ["verify", *FIB, "--a", "5", "--indices", "5,12"],
+        ["primitive", *FIB, "--n", "10", "--a", "5"],
+        ["abc-quality", *FIB, "--from", "10", "--to", "12"],
+        ["rank", *FIB, "--prime", "11"],
+    ):
+        assert run_cli(capsys, argv)[0] == 0, argv
+    assert list(tmp_path.iterdir()) == []
 
 
 # One CLI run per entry: (argv, card, budget, indices whose terms it factors).
@@ -336,7 +378,7 @@ def test_run_cache_factors_each_term_once(capsys, monkeypatch):
         rho_work.clear()
         params = validate_params(p, q)
         for value in {lucas_u(params, n) for n in indices}:
-            factorize(value, budget=budget)
+            factorize(value, FactorCache(budget=budget))
         assert in_run == Counter(rho_work), argv
         bare_total += len(rho_work)
     assert bare_total  # rho is reached (U_60 alone factors by trial division)

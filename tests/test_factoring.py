@@ -8,14 +8,12 @@ from lucasprod import (
     FactorCache,
     NotPrime,
     ZeroInput,
-    cache_from_env,
     factoring,
     factorize,
     power_free_part,
-    radical,
     valuation,
 )
-from lucasprod.factoring import CACHE_ENV_VAR, TRIAL_DIVISION_LIMIT
+from lucasprod.factoring import TRIAL_DIVISION_LIMIT
 from lucasprod.intmath import is_probable_prime, primes_below
 
 from _oracles import kth_power_free_part, power_free_by_scan, trial_factorize
@@ -55,7 +53,7 @@ def test_random_roundtrip_under_small_budget():
         n = rng.getrandbits(bits) * rng.choice((1, -1))
         if n == 0:
             continue
-        fac = factorize(n, budget=2000)
+        fac = factorize(n, FactorCache(budget=2000))
         assert fac.value() == n  # exact reconstruction, complete or not
         for p, exp in fac.factors.items():
             assert exp >= 1
@@ -115,7 +113,7 @@ def test_chunked_trial_division_matches_naive_loop(monkeypatch):
     monkeypatch.setattr(factoring, "_brent_rho", recording_rho)
     for n, budget, survivor_factors in cases:
         handed_to_rho.clear()
-        fac = factorize(n, budget=budget)
+        fac = factorize(n, FactorCache(budget=budget))
         expected, survivor = _naive_trial_phase(n)
         composite = survivor >= TRIAL_DIVISION_LIMIT ** 2 and not is_probable_prime(survivor)
         if survivor > 1 and not composite:
@@ -131,7 +129,7 @@ def test_chunked_trial_division_matches_naive_loop(monkeypatch):
 
 def test_perfect_power_peeling():
     p = _next_prime(10 ** 12 + 61)
-    fac = factorize(p ** 3, budget=10)  # far too small for rho; peeling must act
+    fac = factorize(p ** 3, FactorCache(budget=10))  # far too small for rho; peeling must act
     assert fac.complete
     assert fac.factors == {p: 3}
 
@@ -140,7 +138,7 @@ def test_budget_exhaustion_is_partial_not_wrong():
     p = _next_prime(2 ** 50 + 11)
     q = _next_prime(2 ** 50 + 1000)
     n = p * q
-    fac = factorize(n, budget=10)
+    fac = factorize(n, FactorCache(budget=10))
     assert not fac.complete
     assert fac.cofactor == n
     assert fac.value() == n
@@ -151,8 +149,8 @@ def test_budget_exhaustion_is_partial_not_wrong():
 def test_factorize_is_deterministic():
     p = _next_prime(10 ** 7 + 19)
     q = _next_prime(10 ** 7 + 79)
-    first = factorize(p * q, budget=10 ** 6)
-    second = factorize(p * q, budget=10 ** 6)
+    first = factorize(p * q, FactorCache(budget=10 ** 6))
+    second = factorize(p * q, FactorCache(budget=10 ** 6))
     assert first.factors == second.factors
     assert first.cofactor == second.cofactor
 
@@ -172,20 +170,6 @@ def test_valuation():
         p = rng.choice((2, 3, 5, 7, 11, 13))
         v = valuation(n, p)
         assert n % p ** v == 0 and n % p ** (v + 1) != 0
-
-
-def test_radical():
-    assert radical(1) == 1
-    assert radical(-1) == 1
-    assert radical(12) == 6
-    assert radical(-360) == 30
-    rng = random.Random(0x4AD)
-    for _ in range(100):
-        n = rng.randrange(2, 10 ** 8)
-        r = radical(n)
-        assert n % r == 0
-        assert set(trial_factorize(r)) == set(trial_factorize(n))
-        assert all(exp == 1 for exp in trial_factorize(r).values())
 
 
 def test_power_free_part_against_oracles():
@@ -226,8 +210,8 @@ def test_cache_roundtrip(tmp_path):
 def test_cache_skips_partial_results(tmp_path):
     p = _next_prime(2 ** 50 + 11)
     q = _next_prime(2 ** 50 + 1000)
-    cache = FactorCache(str(tmp_path / "partial.cache"))
-    fac = factorize(p * q, budget=10, cache=cache)
+    cache = FactorCache(str(tmp_path / "partial.cache"), budget=10)
+    fac = factorize(p * q, cache)
     assert not fac.complete
     assert cache.get(p * q) is None
     assert len(cache) == 0
@@ -251,8 +235,10 @@ def test_cache_rejects_malformed_lines(tmp_path):
         ("15 1 15^1 2^0", "exponent 0"),
         ("5 1 1^3 5^1", "base 1"),
         ("4 1 2^2 2^2", "prime 2 is repeated"),  # a dict would keep one 2^2
+        ("8 1 8^1", "base 8 is not prime"),
+        ("10002200057 1 10002200057^1", "base 10002200057 is not prime"),  # 100003 * 100019
     ],
-    ids=["sign", "exponent", "base", "repeated-prime"],
+    ids=["sign", "exponent", "base", "repeated-prime", "composite-base", "composite-base-above-trial-limit"],
 )
 def test_cache_rejects_corrupt_records(tmp_path, record, complaint):
     path = tmp_path / "corrupt.cache"
@@ -274,13 +260,3 @@ def test_power_free_part_keeps_derived_records_in_memory(tmp_path):
     # Only what factorize computed reaches the file.
     assert path.read_text(encoding="ascii") == f"{n} -1 2^7 3^2 5^1 7^4\n"
     assert len(FactorCache(str(path))) == 1
-
-
-def test_cache_env_precedence(tmp_path, monkeypatch):
-    flag = str(tmp_path / "flag.cache")
-    env = str(tmp_path / "env.cache")
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-    assert cache_from_env(None) is None
-    monkeypatch.setenv(CACHE_ENV_VAR, env)
-    assert cache_from_env(None).path == env
-    assert cache_from_env(flag).path == flag

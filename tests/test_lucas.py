@@ -9,9 +9,7 @@ from lucasprod import (
     BadQ,
     NonpositiveDiscriminant,
     SquareDiscriminant,
-    growth_estimate,
     lucas_range,
-    lucas_term,
     lucas_u,
     validate_params,
 )
@@ -69,12 +67,6 @@ def test_doubling_agrees_with_recurrence_oracle():
             assert lucas_u(params, n) == oracle[n]
 
 
-def test_lucas_term_wraps_value():
-    params = validate_params(3, -1)
-    term = lucas_term(params, 9)
-    assert (term.n, term.value) == (9, lucas_u(params, 9))
-
-
 def test_index_bounds():
     params = validate_params(1, 1)
     with pytest.raises(ValueError):
@@ -94,14 +86,3 @@ def test_strong_divisibility_random_pairs():
             b = rng.randrange(1, 301)
             g = math.gcd(a, b)
             assert math.gcd(abs(values[a]), abs(values[b])) == abs(values[g])
-
-
-def test_growth_estimate_tracks_magnitude():
-    for p, q in CLASSICAL:
-        params = validate_params(p, q)
-        values = lucas_range(params, 200)
-        for n in range(20, 201):
-            err = abs(growth_estimate(params, n) - math.log(abs(values[n])))
-            assert err < 0.01
-            if n >= 60:
-                assert err < 1e-9

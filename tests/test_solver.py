@@ -53,7 +53,7 @@ def test_admissible_known_sets(fib, pell, shared_cache):
 
 def test_admissible_reports_stuck_index(fib):
     with pytest.raises(IncompleteFactorization) as info:
-        admissible_indices(_eq(fib, 5, 2, 90, 2), budget=50)
+        admissible_indices(_eq(fib, 5, 2, 90, 2), cache=FactorCache(budget=50))
     assert info.value.index is not None
     assert info.value.cofactor > 1
 

@@ -1,20 +1,15 @@
-"""Square classes: canonical forms, the group law, and compatibility."""
+"""Square classes: canonical forms and the group law."""
 
 import random
-from math import isqrt
 
 import pytest
 
 from lucasprod import (
     IDENTITY_CLASS,
-    ClassGroup,
     SquareClass,
     abs_prime_support,
     class_mul,
     class_of,
-    compatibility,
-    in_group,
-    supported_power_part,
 )
 
 from _oracles import kth_power_free_part
@@ -80,61 +75,7 @@ def test_group_axioms_exhaustive():
         assert class_mul(class_mul(c1, c2), c3) == class_mul(c1, class_mul(c2, c3))
 
 
-def test_membership_and_coefficient_group():
-    group = ClassGroup.from_coefficient(60)
-    assert group.support == frozenset((2, 3, 5))
-    assert in_group(class_of(10), group)
-    assert in_group(class_of(-15), group)
-    assert not in_group(class_of(7), group)
-    assert in_group(IDENTITY_CLASS, ClassGroup.from_primes(()))
-
-
 def test_abs_prime_support():
     assert abs_prime_support(1) == ()
     assert abs_prime_support(-1) == ()
     assert abs_prime_support(-360) == (2, 3, 5)
-
-
-def test_compatibility_matches_direct_square_test():
-    rng = random.Random(0xC0FFEE)
-    for _ in range(200):
-        values = [
-            rng.randrange(1, 500) * rng.choice((1, -1))
-            for _ in range(rng.randrange(1, 5))
-        ]
-        a = rng.randrange(1, 500) * rng.choice((1, -1))
-        product = a
-        for v in values:
-            product *= v
-        expected = product > 0 and isqrt(product) ** 2 == product
-        assert compatibility([class_of(v) for v in values], a) == expected
-
-
-def test_supported_power_part():
-    assert supported_power_part(144, 2, ())
-    assert supported_power_part(8, 2, (2,))
-    assert not supported_power_part(8, 2, ())
-    assert supported_power_part(-500, 3, (2, 5))
-    rng = random.Random(0x5E7)
-    for _ in range(200):
-        n = rng.randrange(2, 10 ** 5) * rng.choice((1, -1))
-        k = rng.choice((2, 3))
-        support = (2, 3, 5)
-        e, _ = kth_power_free_part(n, k)
-        expected = trial_support(e) <= set(support)
-        assert supported_power_part(n, k, support) == expected
-
-
-def trial_support(n):
-    m = abs(n)
-    out = set()
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.add(m)
-    return out
