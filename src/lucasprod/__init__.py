@@ -41,7 +41,6 @@ from .factoring import (
     PowerFreeDecomposition,
     factorize,
     power_free_part,
-    valuation,
 )
 from .lucas import (
     LucasParams,
@@ -92,7 +91,6 @@ __all__ = [
     "FactorCache",
     "DEFAULT_RHO_BUDGET",
     "factorize",
-    "valuation",
     "power_free_part",
     # square classes
     "SquareClass",

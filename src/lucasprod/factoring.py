@@ -22,7 +22,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .errors import IncompleteFactorization, NotPrime, ZeroInput
+from .errors import IncompleteFactorization, ZeroInput
 from .intmath import integer_kth_root, is_probable_prime, prime_sieve
 
 TRIAL_DIVISION_LIMIT = 100_000
@@ -256,20 +256,6 @@ def factorize(n: int, cache: FactorCache | None = None) -> Factorization:
     if cache is not None and result.complete:
         cache.add(n, result)
     return result
-
-
-def valuation(n: int, p: int) -> int:
-    """Largest t with p^t dividing n."""
-    if n == 0:
-        raise ZeroInput("valuation input")
-    if p < 2 or not is_probable_prime(p):
-        raise NotPrime(p)
-    t = 0
-    n = abs(n)
-    while n % p == 0:
-        n //= p
-        t += 1
-    return t
 
 
 def power_free_part(n: int, k: int, cache: FactorCache | None = None) -> PowerFreeDecomposition:

@@ -72,12 +72,12 @@ def _doubling_pair(params: LucasParams, n: int, modulus: int = 0) -> tuple[int, 
     return a, b
 
 
-def lucas_u(params: LucasParams, n: int, *, index_cap: int = DEFAULT_INDEX_CAP) -> int:
+def lucas_u(params: LucasParams, n: int) -> int:
     """Exact U_n, computed in O(log n) big-integer multiplications."""
     if n < 0:
         raise ValueError(f"index must be >= 0, got {n}")
-    if n > index_cap:
-        raise ValueError(f"index {n} exceeds the cap {index_cap}")
+    if n > DEFAULT_INDEX_CAP:
+        raise ValueError(f"index {n} exceeds the cap {DEFAULT_INDEX_CAP}")
     return _doubling_pair(params, n)[0]
 
 
@@ -93,12 +93,12 @@ def lucas_u_mod(params: LucasParams, n: int, m: int) -> int:
     return _doubling_pair(params, n, m)[0]
 
 
-def lucas_range(params: LucasParams, n_max: int, *, index_cap: int = DEFAULT_INDEX_CAP) -> list[int]:
+def lucas_range(params: LucasParams, n_max: int) -> list[int]:
     """[U_0, U_1, ..., U_{n_max}] by the three-term recurrence."""
     if n_max < 0:
         raise ValueError(f"index must be >= 0, got {n_max}")
-    if n_max > index_cap:
-        raise ValueError(f"index {n_max} exceeds the cap {index_cap}")
+    if n_max > DEFAULT_INDEX_CAP:
+        raise ValueError(f"index {n_max} exceeds the cap {DEFAULT_INDEX_CAP}")
     terms = [0, 1]
     for _ in range(n_max - 1):
         terms.append(params.p * terms[-1] + params.q * terms[-2])

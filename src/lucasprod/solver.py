@@ -22,7 +22,7 @@ from .errors import (
     NotPairwiseCoprime,
     SeparationLawViolation,
 )
-from .factoring import FactorCache, factorize, valuation
+from .factoring import FactorCache, factorize
 from .intmath import perfect_kth_power_root
 from .lucas import LucasParams, lucas_range, lucas_u
 from .square_class import IDENTITY_CLASS, abs_prime_support, class_mul, class_of
@@ -74,7 +74,6 @@ class SolutionCertificate:
 
     indices: tuple[int, ...]
     y: int
-    class_check: bool
     valuation_table: dict[int, tuple[tuple[int, int], ...]]
     canonical: bool
     trivial: bool
@@ -101,9 +100,9 @@ def admissible_indices(eq: ProductEquation, cache: FactorCache | None = None) ->
 def _trivial_certificate(eq: ProductEquation) -> SolutionCertificate | None:
     """Empty-product solution of a = +-y^k, when one exists."""
     if eq.a == 1:
-        return SolutionCertificate((), 1, True, {}, canonical=False, trivial=True)
+        return SolutionCertificate((), 1, {}, canonical=False, trivial=True)
     if eq.a == -1 and eq.k % 2 == 1:
-        return SolutionCertificate((), -1, True, {}, canonical=False, trivial=True)
+        return SolutionCertificate((), -1, {}, canonical=False, trivial=True)
     return None
 
 
@@ -208,16 +207,14 @@ def verify_solution(
         # All factors were U_1; the equation degenerates to a = +-y^k.
         trivial = _trivial_certificate(eq)
         if trivial is not None:
-            return SolutionCertificate(
-                (), trivial.y, True, {}, canonical=True, trivial=True
-            )
+            return SolutionCertificate((), trivial.y, {}, canonical=True, trivial=True)
 
     coefficient_factors = factorize(eq.a, cache=cache).factors
     if product % eq.a != 0:
         deficits = [
             p
             for p, exp in sorted(coefficient_factors.items())
-            if sum(valuation(term_values[n], p) for n in stripped) < exp
+            if sum(term_factorizations[n].get(p, 0) for n in stripped) < exp
         ]
         raise NotDivisible(deficits[0])
 
@@ -234,7 +231,6 @@ def verify_solution(
     return SolutionCertificate(
         indices=stripped,
         y=y,
-        class_check=True,
         valuation_table=table,
         canonical=canonical,
         trivial=not stripped,

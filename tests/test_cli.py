@@ -18,8 +18,8 @@ from collections import Counter
 
 import pytest
 
-from lucasprod import FactorCache, SeparationLawViolation, factoring, solver
-from lucasprod.cli import _RUNNERS, CACHE_ENV_VAR, main, parse_args
+from lucasprod import FactorCache, NotFoundWithinBound, SeparationLawViolation, cli, factoring, primitive, solver
+from lucasprod.cli import CACHE_ENV_VAR, main
 from lucasprod.factoring import factorize, power_free_part
 from lucasprod.lucas import lucas_u, validate_params
 
@@ -153,6 +153,39 @@ def test_rank_rejects_composite(capsys):
     assert "parameter error" in err
 
 
+def test_rank_of_composite_is_not_found(capsys, monkeypatch):
+    # 91 = 7 * 13 passes the primality gate here; the law of apparition still catches it.
+    real = primitive.is_probable_prime
+    monkeypatch.setattr(primitive, "is_probable_prime", lambda n: n == 91 or real(n))
+    code, out, err = run_cli(capsys, ["rank", *FIB, "--prime", "91"])
+    assert (code, err) == (1, "")
+    assert out.startswith("not found: 91 does not divide U_")
+    code, out, err = run_cli(capsys, ["rank", *FIB, "--prime", "91", "--json"])
+    assert (code, err, out.count("\n")) == (1, "", 1)
+    record = json.loads(out)
+    assert record["results"] == []
+    assert record["error"]["type"] == "NotFoundWithinBound"
+    assert record["error"]["message"].startswith("91 does not divide U_")
+
+
+def test_rejection_from_any_runner_is_mapped_once(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise NotFoundWithinBound(91, 90)
+
+    monkeypatch.setattr(cli, "obstruction_filter", refuse)
+    argv = ["primitive", *FIB, "--n", "10", "--a", "5"]
+    code, out, err = run_cli(capsys, [*argv, "--json"])
+    assert (code, err, out.count("\n")) == (1, "", 1)
+    record = json.loads(out)
+    assert record["command"] == "primitive"
+    assert record["params"] == {"p": 1, "q": 1, "a": 5, "k": 2}
+    assert record["results"] == []
+    assert record["error"] == {"type": "NotFoundWithinBound", "message": str(NotFoundWithinBound(91, 90))}
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (1, "")
+    assert out == f"not found: {NotFoundWithinBound(91, 90)}\n"
+
+
 def test_rank_budget_reaches_factoring_of_p_minus_symbol(capsys):
     # p - (5/p) = 24 * 100000000003 * 100000000019: rho needs ~3e5 steps for it.
     prime = "240000000052800000001369"
@@ -196,6 +229,13 @@ def test_nonpositive_max_is_usage_error(capsys):
     code, _, err = run_cli(capsys, ["seq", *FIB, "--max", "0"])
     assert code == 2
     assert "parameter error" in err
+
+
+@pytest.mark.parametrize("indices", ["", ",", "5,x"])
+def test_malformed_indices_are_usage_errors(capsys, indices):
+    code, out, err = run_cli(capsys, ["verify", *FIB, "--a", "5", "--indices", indices])
+    assert (code, out) == (2, "")
+    assert err.startswith("parameter error: indices must be a")
 
 
 def test_unknown_subcommand_exits_two(capsys):
@@ -411,9 +451,10 @@ def test_stdout_same_without_memory_and_file_cache(tmp_path, capsys, monkeypatch
         ["verify", *FIB, "--a", "5", "--k", "3", "--indices", "5,12", "--json"],
         ["solve", *FIB, "--a", "5", "--max", "40"],
     ):
-        config = parse_args(argv)
-        code = _RUNNERS[config.subcommand](config, None)
-        no_cache = (code, capsys.readouterr().out)
+        with monkeypatch.context() as patch:
+            # The runners get no cache at all, as library calls with cache=None.
+            patch.setattr(cli, "FactorCache", lambda *args, **kwargs: None)
+            no_cache = run_cli(capsys, argv)[:2]
         in_memory = run_cli(capsys, argv)[:2]
         cold_file = run_cli(capsys, [*argv, "--cache", str(path)])[:2]
         warm_file = run_cli(capsys, [*argv, "--cache", str(path)])[:2]

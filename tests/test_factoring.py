@@ -6,12 +6,10 @@ import pytest
 
 from lucasprod import (
     FactorCache,
-    NotPrime,
     ZeroInput,
     factoring,
     factorize,
     power_free_part,
-    valuation,
 )
 from lucasprod.factoring import TRIAL_DIVISION_LIMIT
 from lucasprod.intmath import is_probable_prime, primes_below
@@ -153,23 +151,6 @@ def test_factorize_is_deterministic():
     second = factorize(p * q, FactorCache(budget=10 ** 6))
     assert first.factors == second.factors
     assert first.cofactor == second.cofactor
-
-
-def test_valuation():
-    assert valuation(48, 2) == 4
-    assert valuation(48, 3) == 1
-    assert valuation(48, 5) == 0
-    assert valuation(-48, 2) == 4
-    with pytest.raises(ZeroInput):
-        valuation(0, 2)
-    with pytest.raises(NotPrime):
-        valuation(10, 4)
-    rng = random.Random(0x7A1)
-    for _ in range(100):
-        n = rng.randrange(1, 10 ** 9)
-        p = rng.choice((2, 3, 5, 7, 11, 13))
-        v = valuation(n, p)
-        assert n % p ** v == 0 and n % p ** (v + 1) != 0
 
 
 def test_power_free_part_against_oracles():

@@ -13,6 +13,7 @@ from lucasprod import (
     lucas_u,
     validate_params,
 )
+from lucasprod.lucas import DEFAULT_INDEX_CAP, lucas_u_mod
 
 from _oracles import lucas_values
 
@@ -69,11 +70,13 @@ def test_doubling_agrees_with_recurrence_oracle():
 
 def test_index_bounds():
     params = validate_params(1, 1)
-    with pytest.raises(ValueError):
-        lucas_u(params, -1)
-    with pytest.raises(ValueError):
-        lucas_u(params, 201, index_cap=200)
-    assert lucas_u(params, 200, index_cap=200) == lucas_values(1, 1, 200)[200]
+    for compute in (lucas_u, lucas_range):
+        with pytest.raises(ValueError):
+            compute(params, -1)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            compute(params, DEFAULT_INDEX_CAP + 1)
+    top = lucas_u(params, DEFAULT_INDEX_CAP)
+    assert top % (2 ** 61 - 1) == lucas_u_mod(params, DEFAULT_INDEX_CAP, 2 ** 61 - 1)
 
 
 def test_strong_divisibility_random_pairs():

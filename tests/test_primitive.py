@@ -88,13 +88,21 @@ def test_rank_refuses_composite_passed_as_prime(fib, monkeypatch):
         assert "composite" in str(info.value)
 
 
+def _exact_term(params, n):
+    """U_n, above the index cap of lucas_u by U_{a+b} = U_a*U_{b+1} + q*U_{a-1}*U_b."""
+    if n <= DEFAULT_INDEX_CAP:
+        return lucas_u(params, n)
+    a, b = n // 2, n - n // 2
+    return lucas_u(params, a) * lucas_u(params, b + 1) + params.q * lucas_u(params, a - 1) * lucas_u(params, b)
+
+
 def test_lucas_u_mod_matches_exact_terms():
     indices = [*range(40), 97, 1_000, 4_097, DEFAULT_INDEX_CAP + 1, 3 * DEFAULT_INDEX_CAP // 2]
     moduli = (1, 2, 3, 10, 97, 2 ** 61 - 1, 10 ** 30 + 57)
     for p, q in ((1, 1), (2, 1), (3, -1), (-3, 1)):
         params = validate_params(p, q)
         for n in indices:
-            exact = lucas_u(params, n, index_cap=n)
+            exact = _exact_term(params, n)
             for m in moduli:
                 assert lucas_u_mod(params, n, m) == exact % m, (p, q, n, m)
 
