@@ -19,9 +19,11 @@ Each run builds one FactorCache, its only factoring context: it carries the
 --budget and holds every factorization the run computes, so each integer is
 factored once per run. It is backed by the --cache file, else the file named
 by LUCAS_FACTOR_CACHE, else by nothing and dies with the run; seq and rank
-never load the file. The k-free parts and roots derived from a factorization
-are held in memory only; the file receives only the records that factoring
-computed.
+never load the file. A file record is checked when the run first reads it, so
+a corrupt record that the run reads exits 2 naming ``file:line``, and one it
+never reads is neither checked nor reported. The k-free parts and roots
+derived from a factorization are held in memory only; the file receives only
+the records that factoring computed.
 """
 
 from __future__ import annotations

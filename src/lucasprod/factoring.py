@@ -13,7 +13,10 @@ above ``factorize`` takes it as ``cache=``; without one, ``factorize`` runs
 at DEFAULT_RHO_BUDGET and remembers nothing. Given a cache,
 ``power_free_part`` also records the exact factorizations of the k-free part
 e and the root s it derives, in memory only, so later lookups of e and s need
-no rho; a cache file receives only the records ``factorize`` computed.
+no rho; a cache file receives only the records ``factorize`` computed. A
+cache file is indexed by N when the cache is built, and each record is
+parsed and checked (structure, sign, exponents, prime bases, reconstruction
+of N) on its first read; a record no call reads is never checked.
 """
 
 from __future__ import annotations
@@ -89,60 +92,79 @@ class FactorCache:
     """Store of complete factorizations, and the rho budget to compute them at.
 
     File format, one record per line: ``N <sign> <p1>^<e1> <p2>^<e2> ...``.
-    The file is loaded fully at construction and appended on new complete
-    results from ``add``; records kept with ``_remember`` stay in memory.
-    ``path=None`` keeps the cache purely in memory.
+    Construction reads the file once and indexes each record by its N, the
+    last line winning for a repeated N; a first field that is not an integer
+    fails there. A record is parsed and checked on its first ``get``, and only
+    then used: a corrupt record raises on every read, and a record that is
+    never read is never checked. ``add`` appends new complete results to the
+    file; records kept with ``_remember`` stay in memory. ``path=None`` keeps
+    the cache purely in memory.
     """
 
     def __init__(self, path: str | None = None, budget: int = DEFAULT_RHO_BUDGET):
         self.path = path
         self.budget = budget
-        self._entries: dict[int, Factorization] = {}
+        # N -> its Factorization, or (line number, line) of a file record not read yet.
+        self._entries: dict[int, Factorization | tuple[int, str]] = {}
+        # True while the file's last line lacks its newline, which an append adds first.
+        self._newline_due = False
         if path is not None and os.path.exists(path):
-            self._load(path)
+            self._index(path)
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def _load(self, path: str) -> None:
+    def _index(self, path: str) -> None:
         with open(path, "r", encoding="ascii") as handle:
             for lineno, line in enumerate(handle, start=1):
-                fields = line.split()
-                if not fields:
+                self._newline_due = not line.endswith("\n")
+                head = line.split(None, 1)
+                if not head:
                     continue
                 try:
-                    n = int(fields[0])
-                    sign = int(fields[1])
-                    pairs = []
-                    for item in fields[2:]:
-                        p_text, e_text = item.split("^")
-                        pairs.append((int(p_text), int(e_text)))
-                except (ValueError, IndexError) as exc:
+                    n = int(head[0])
+                except ValueError as exc:
                     raise ValueError(f"{path}:{lineno}: malformed cache line {line.strip()!r}") from exc
-                if sign not in (-1, 1):
-                    raise ValueError(f"{path}:{lineno}: sign {sign} is not +1 or -1")
-                factors: dict[int, int] = {}
-                value = sign
-                for p, e in pairs:
-                    if p < 2:
-                        raise ValueError(f"{path}:{lineno}: base {p} is below 2")
-                    if e < 1:
-                        raise ValueError(f"{path}:{lineno}: exponent {e} of {p} is below 1")
-                    if p in factors:
-                        raise ValueError(f"{path}:{lineno}: prime {p} is repeated")
-                    factors[p] = e
-                    value *= p ** e
-                if value != n:
-                    raise ValueError(f"{path}:{lineno}: record does not reconstruct {n}")
-                # With prime bases, a record that reconstructs N is N's unique
-                # factorization, so two records for one N cannot disagree.
-                for p in factors:
-                    if not (_TRIAL_SIEVE[p] if p < TRIAL_DIVISION_LIMIT else is_probable_prime(p)):
-                        raise ValueError(f"{path}:{lineno}: base {p} is not prime")
-                self._entries[n] = Factorization(sign, factors)
+                self._entries[n] = (lineno, line)
+
+    def _parse(self, n: int, lineno: int, line: str) -> Factorization:
+        """The record of n on file line ``lineno``, checked; ValueError if corrupt."""
+        where = f"{self.path}:{lineno}"
+        fields = line.split()
+        try:
+            sign = int(fields[1])
+            pairs = []
+            for item in fields[2:]:
+                p_text, e_text = item.split("^")
+                pairs.append((int(p_text), int(e_text)))
+        except (ValueError, IndexError) as exc:
+            raise ValueError(f"{where}: malformed cache line {line.strip()!r}") from exc
+        if sign not in (-1, 1):
+            raise ValueError(f"{where}: sign {sign} is not +1 or -1")
+        factors: dict[int, int] = {}
+        value = sign
+        for p, e in pairs:
+            if p < 2:
+                raise ValueError(f"{where}: base {p} is below 2")
+            if e < 1:
+                raise ValueError(f"{where}: exponent {e} of {p} is below 1")
+            if p in factors:
+                raise ValueError(f"{where}: prime {p} is repeated")
+            factors[p] = e
+            value *= p ** e
+        if value != n:
+            raise ValueError(f"{where}: record does not reconstruct {n}")
+        # With prime bases, a record that reconstructs N is N's unique factorization.
+        for p in factors:
+            if not (_TRIAL_SIEVE[p] if p < TRIAL_DIVISION_LIMIT else is_probable_prime(p)):
+                raise ValueError(f"{where}: base {p} is not prime")
+        return Factorization(sign, factors)
 
     def get(self, n: int) -> Factorization | None:
         hit = self._entries.get(n)
+        if isinstance(hit, tuple):
+            # A corrupt record raises here and stays unread, so every read raises.
+            hit = self._entries[n] = self._parse(n, *hit)
         return hit.copy() if hit is not None else None
 
     def _remember(self, n: int, fac: Factorization) -> bool:
@@ -158,7 +180,9 @@ class FactorCache:
             items = " ".join(f"{p}^{e}" for p, e in sorted(fac.factors.items()))
             line = f"{n} {fac.sign} {items}".rstrip()
             with open(self.path, "a", encoding="ascii") as handle:
-                handle.write(line + "\n")
+                # A last line without its newline would swallow this record.
+                handle.write(("\n" if self._newline_due else "") + line + "\n")
+            self._newline_due = False
 
 
 def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:

@@ -201,11 +201,29 @@ def test_rank_budget_reaches_factoring_of_p_minus_symbol(capsys):
 def test_rank_and_seq_never_load_the_cache(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     bad = tmp_path / "bad.cache"
-    bad.write_text("6 1 2^1\n", encoding="ascii")
-    assert run_cli(capsys, ["rank", *FIB, "--prime", "11", "--cache", str(bad)])[:2] == (0, "z(11) = 10\n")
-    assert run_cli(capsys, ["seq", *FIB, "--max", "2", "--cache", str(bad)])[:2] == (0, "1 1\n2 1\n")
-    code, _, err = run_cli(capsys, ["classify", *FIB, "--max", "5", "--cache", str(bad)])
-    assert code == 2 and "does not reconstruct" in err
+    for text, complaint in (
+        # classify --max 6 reads U_6 = 8 and rank --prime 11 would read 11 - 1 = 10.
+        ("8 1 2^1\n10 1 3^1\n", "bad.cache:1: record does not reconstruct 8"),
+        ("not a line\n", "bad.cache:1: malformed cache line"),  # fails at load
+    ):
+        bad.write_text(text, encoding="ascii")
+        assert run_cli(capsys, ["rank", *FIB, "--prime", "11", "--cache", str(bad)])[:2] == (0, "z(11) = 10\n")
+        assert run_cli(capsys, ["seq", *FIB, "--max", "2", "--cache", str(bad)])[:2] == (0, "1 1\n2 1\n")
+        assert bad.read_text(encoding="ascii") == text
+        code, _, err = run_cli(capsys, ["classify", *FIB, "--max", "6", "--cache", str(bad)])
+        assert code == 2 and complaint in err
+
+
+def test_unread_corrupt_record_does_not_stop_a_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    argv = ["classify", *FIB, "--max", "5"]
+    honest = run_cli(capsys, argv)
+    assert honest[0] == 0
+    path = tmp_path / "stale.cache"
+    path.write_text("6 1 2^1\n", encoding="ascii")  # classify --max 5 never reads 6
+    assert run_cli(capsys, [*argv, "--cache", str(path)]) == honest
+    code, _, err = run_cli(capsys, ["admissible", *FIB, "--a", "6", "--max", "5", "--cache", str(path)])
+    assert code == 2 and "stale.cache:1: record does not reconstruct 6" in err
 
 
 def test_internal_inconsistency_is_not_a_rejection(capsys, monkeypatch):

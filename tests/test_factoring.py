@@ -201,12 +201,13 @@ def test_cache_skips_partial_results(tmp_path):
 def test_cache_rejects_malformed_lines(tmp_path):
     bad = tmp_path / "bad.cache"
     bad.write_text("12 1 2^2 3^1\nnot a line\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad.cache:2: malformed cache line"):
         FactorCache(str(bad))
     wrong = tmp_path / "wrong.cache"
     wrong.write_text("10 1 3^1\n")  # parses but does not reconstruct 10
-    with pytest.raises(ValueError):
-        FactorCache(str(wrong))
+    cache = FactorCache(str(wrong))
+    with pytest.raises(ValueError, match="wrong.cache:1: record does not reconstruct 10"):
+        cache.get(10)
 
 
 @pytest.mark.parametrize(
@@ -224,8 +225,69 @@ def test_cache_rejects_malformed_lines(tmp_path):
 def test_cache_rejects_corrupt_records(tmp_path, record, complaint):
     path = tmp_path / "corrupt.cache"
     path.write_text(f"12 1 2^2 3^1\n{record}\n", encoding="ascii")
+    cache = FactorCache(str(path))
+    n = int(record.split()[0])
+    # The record is never used: the first read raises, and so does every later one.
     with pytest.raises(ValueError, match=f"corrupt.cache:2: .*{complaint}"):
-        FactorCache(str(path))
+        cache.get(n)
+    with pytest.raises(ValueError, match=f"corrupt.cache:2: .*{complaint}"):
+        factorize(n, cache=cache)
+    assert cache.get(12).factors == {2: 2, 3: 1}
+
+
+def test_cache_checks_primes_of_read_records_only(tmp_path, monkeypatch):
+    path = tmp_path / "lazy.cache"
+    big = [_next_prime(10 ** 6 + 1000 * i) for i in range(4)]
+    path.write_text("".join(f"{p} 1 {p}^1\n" for p in big) + "6 1 2^1 3^1\n", encoding="ascii")
+    tested = []
+    real = factoring.is_probable_prime
+
+    def counting(n):
+        tested.append(n)
+        return real(n)
+
+    monkeypatch.setattr(factoring, "is_probable_prime", counting)
+    cache = FactorCache(str(path))
+    assert tested == [] and len(cache) == 5
+    assert cache.get(big[2]).factors == {big[2]: 1}
+    assert cache.get(big[2]).factors == {big[2]: 1}  # the parsed copy, not a second check
+    assert cache.get(6).factors == {2: 1, 3: 1}  # bases below 10^5 use the sieve
+    assert tested == [big[2]]
+
+
+def test_cache_appends_and_counts_each_new_record_once(tmp_path):
+    path = tmp_path / "grow.cache"
+    path.write_text("12 1 2^2 3^1\n", encoding="ascii")
+    cache = FactorCache(str(path))
+    cache.add(12, factorize(12))  # an unread record counts as present
+    assert len(cache) == 1
+    for n, size in ((12, 1), (30, 2), (30, 2), (-7, 3)):
+        factorize(n, cache=cache)
+        assert len(cache) == size
+    assert path.read_text(encoding="ascii") == "12 1 2^2 3^1\n30 1 2^1 3^1 5^1\n-7 -1 7^1\n"
+    reloaded = FactorCache(str(path))
+    assert len(reloaded) == 3
+    assert reloaded.get(30).factors == {2: 1, 3: 1, 5: 1}
+    assert (reloaded.get(-7).sign, reloaded.get(-7).factors) == (-1, {7: 1})
+
+
+def test_cache_appends_after_a_last_line_without_newline(tmp_path):
+    path = tmp_path / "open.cache"
+    path.write_text("12 1 2^2 3^1", encoding="ascii")
+    factorize(30, cache=FactorCache(str(path)))
+    assert path.read_text(encoding="ascii") == "12 1 2^2 3^1\n30 1 2^1 3^1 5^1\n"
+    reloaded = FactorCache(str(path))
+    assert reloaded.get(12).factors == {2: 2, 3: 1}
+    assert reloaded.get(30).factors == {2: 1, 3: 1, 5: 1}
+
+
+def test_cache_last_record_of_a_repeated_n_wins(tmp_path):
+    path = tmp_path / "twice.cache"
+    path.write_text("10 1 3^1\n12 1 2^2 3^1\n10 1 2^1 5^1\n", encoding="ascii")
+    assert FactorCache(str(path)).get(10).factors == {2: 1, 5: 1}
+    path.write_text("10 1 2^1 5^1\n10 1 3^1\n", encoding="ascii")
+    with pytest.raises(ValueError, match="twice.cache:2: record does not reconstruct 10"):
+        FactorCache(str(path)).get(10)
 
 
 def test_power_free_part_keeps_derived_records_in_memory(tmp_path):
