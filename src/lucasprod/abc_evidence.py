@@ -161,7 +161,9 @@ def binet_radical(params: LucasParams, triple: BinetTriple, cache: FactorCache |
     total = 0.0
     for p in sorted(support):
         contribution = math.log(p)
-        if splitting_type(field, p) == "ramified":
+        # p is prime: it comes off complete factorizations, so the Kronecker
+        # symbol is read directly, without splitting_type's primality test.
+        if kronecker_at_prime(field.discriminant, p) == 0:
             contribution /= 2.0
         total += contribution
     return total

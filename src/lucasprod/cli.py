@@ -24,6 +24,12 @@ a corrupt record that the run reads exits 2 naming ``file:line``, and one it
 never reads is neither checked nor reported. The k-free parts and roots
 derived from a factorization are held in memory only; the file receives only
 the records that factoring computed.
+
+classify, abc-quality and primitive factor each term U_n with
+``primitive.factor_term``, which divides out the primes of every U_{n/l}
+(l a prime of n) before rho; the calls that follow then read U_n from the
+cache. Their file thus also receives the terms U_d, d | n, and each one's
+primitive part. solve, admissible and verify factor whole terms.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ from .errors import (
 )
 from .factoring import DEFAULT_RHO_BUDGET, FactorCache, power_free_part
 from .lucas import LucasParams, lucas_range, lucas_u, validate_params
-from .primitive import obstruction_filter, primitive_divisors, rank_of_apparition
+from .primitive import factor_term, obstruction_filter, primitive_divisors, rank_of_apparition
 from .solver import (
     ProductEquation,
     SolutionCertificate,
@@ -105,6 +111,7 @@ def _run_classify(args: argparse.Namespace, params: LucasParams, cache: FactorCa
     terms = lucas_range(params, args.max_index)
     rows = []
     for n in range(1, args.max_index + 1):
+        factor_term(params, n, cache=cache)  # the split; the calls below read U_n from the cache
         dec = power_free_part(terms[n], args.k, cache=cache)
         cls = class_of(terms[n], cache=cache)
         rows.append((n, *map(str, (terms[n], dec.e, dec.s, cls.as_integer()))))
@@ -178,6 +185,7 @@ def _run_abc_quality(args: argparse.Namespace, params: LucasParams, cache: Facto
         raise ValueError(f"--from must be >= 1, got {args.from_n}")
     results, lines = [], ["n " + " ".join(_QUALITY_COLUMNS)]
     for n in range(args.from_n, args.to_n + 1):
+        factor_term(params, n, cache=cache)  # the split; quality_report reads U_n from the cache
         report = quality_report(params, n, args.k, cache=cache)
         cells = [f"{getattr(report, column):.6f}" for column in _QUALITY_COLUMNS]
         # JSON floats are the printed 6-decimal values, read back.

@@ -13,7 +13,8 @@ above ``factorize`` takes it as ``cache=``; without one, ``factorize`` runs
 at DEFAULT_RHO_BUDGET and remembers nothing. Given a cache,
 ``power_free_part`` also records the exact factorizations of the k-free part
 e and the root s it derives, in memory only, so later lookups of e and s need
-no rho; a cache file receives only the records ``factorize`` computed. A
+no rho; a cache file receives only the records ``factorize`` computed, and
+the Lucas terms ``primitive.factor_term`` assembles from such records. A
 cache file is indexed by N when the cache is built, and each record is
 parsed and checked (structure, sign, exponents, prime bases, reconstruction
 of N) on its first read; a record no call reads is never checked.

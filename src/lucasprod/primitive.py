@@ -6,6 +6,12 @@ i.e. its rank of apparition is exactly n. If an index occurs in a pairwise
 coprime product solution, every prime outside the coefficient must meet its
 term to a multiplicity divisible by k; a primitive prime of multiplicity one
 therefore rules the index out unconditionally.
+
+``factor_term`` factors U_n by strong divisibility, gcd(U_m, U_n) =
+U_gcd(m,n): the primes of U_{n/l}, l a prime of n, are divided out first,
+so only the primitive part reaches ``factorize`` and its rho. The report
+paths (``primitive_divisors``, and the ``classify`` and ``abc-quality``
+runners) factor their terms this way; the solver does not.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IncompleteFactorization, NotFoundWithinBound, NotPrime
-from .factoring import FactorCache, factorize
+from .factoring import FactorCache, Factorization, factorize
 from .intmath import is_probable_prime, kronecker_at_prime
 from .lucas import LucasParams, lucas_u, lucas_u_mod
 from .square_class import abs_prime_support
@@ -75,30 +81,65 @@ def rank_set(params: LucasParams, a: int, cache: FactorCache | None = None) -> f
     return frozenset(rank_of_apparition(params, p, cache=cache).z for p in abs_prime_support(a, cache=cache))
 
 
+def _prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing an index n >= 1, by trial division."""
+    primes = []
+    l = 2
+    while l * l <= n:
+        if n % l == 0:
+            primes.append(l)
+            while n % l == 0:
+                n //= l
+        l += 1
+    return primes + [n] if n > 1 else primes
+
+
 def _is_primitive(params: LucasParams, p: int, n: int) -> bool:
     """Whether p | U_n has rank exactly n, given that it divides U_n.
 
     Rank divisibility (p | U_m iff z(p) | m) reduces the test to the maximal
     proper divisors n/l over primes l | n, each a residue of U mod p.
     """
-    remaining = n
-    l = 2
-    while l * l <= remaining:
-        if remaining % l == 0:
-            if lucas_u_mod(params, n // l, p) == 0:
-                return False
-            while remaining % l == 0:
-                remaining //= l
-        l += 1
-    return remaining == 1 or lucas_u_mod(params, n // remaining, p) != 0
+    return all(lucas_u_mod(params, n // l, p) != 0 for l in _prime_divisors(n))
+
+
+def factor_term(params: LucasParams, n: int, cache: FactorCache | None = None) -> Factorization:
+    """Factorization of U_n (n >= 1), sending only its primitive part to ``factorize``.
+
+    By strong divisibility every prime of U_n that is not primitive divides
+    some U_{n/l}, l a prime of n. Those terms are factored first, by recursion
+    through the same cache, and their primes are divided out of U_n; the
+    remainder is exactly the primitive part. An incomplete U_{n/l} contributes
+    the primes it found, and its cofactor stays in the remainder. A complete
+    result is stored in the cache (and its file) under U_n; a partial one is
+    returned as it is.
+    """
+    if cache is None:
+        cache = FactorCache()
+    value = lucas_u(params, n)
+    hit = cache.get(value)
+    if hit is not None:
+        return hit
+    remainder = abs(value)
+    factors: dict[int, int] = {}
+    for l in _prime_divisors(n):
+        for p in factor_term(params, n // l, cache=cache).factors:
+            while remainder % p == 0:
+                factors[p] = factors.get(p, 0) + 1
+                remainder //= p
+    rest = factorize(remainder, cache=cache)
+    factors.update(rest.factors)  # the remainder keeps no prime divided out above
+    fac = Factorization(1 if value > 0 else -1, dict(sorted(factors.items())), rest.cofactor)
+    if fac.complete:
+        cache.add(value, fac)
+    return fac
 
 
 def primitive_divisors(params: LucasParams, n: int, cache: FactorCache | None = None) -> PrimitiveReport:
     """All prime divisors of U_n with multiplicities and primitivity marks."""
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
-    value = lucas_u(params, n)
-    fac = factorize(value, cache=cache)
+    fac = factor_term(params, n, cache=cache)
     if not fac.complete:
         raise IncompleteFactorization(fac.cofactor, index=n)
     entries = tuple(

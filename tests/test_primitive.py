@@ -3,10 +3,12 @@
 import pytest
 
 from lucasprod import (
+    FactorCache,
     NotFoundWithinBound,
     NotPrime,
     ProductEquation,
     enumerate_solutions,
+    factorize,
     lucas_range,
     obstruction_filter,
     primitive,
@@ -185,3 +187,36 @@ def test_solver_indices_pass_filter(fib, pell, shared_cache):
         for cert in enumerate_solutions(eq, cache=shared_cache):
             for n in cert.indices:
                 assert obstruction_filter(params, a, n, cache=shared_cache).admissible
+
+
+# First index whose U_n does not factor at a rho budget of 10^5 (bench/meta.json).
+REACH_AT_100000 = {(1, 1): 94, (2, 1): 58, (3, -1): 47, (3, 1): 47, (4, 1): 59, (6, 1): 54}
+
+
+def test_factor_term_equals_factorize_below_reach():
+    for (p, q), reach in REACH_AT_100000.items():
+        params = validate_params(p, q)
+        split, bare = FactorCache(budget=100_000), FactorCache(budget=100_000)
+        for n in range(1, reach):
+            fac = primitive.factor_term(params, n, cache=split)
+            assert fac.complete, (p, q, n)
+            assert fac == factorize(lucas_u(params, n), cache=bare), (p, q, n)
+
+
+def test_split_completes_fibonacci_94(fib):
+    value = lucas_u(fib, 94)
+    assert not factorize(value, cache=FactorCache(budget=100_000)).complete
+    # U_94 = F_47 * L_47, two primes near 2^32: U_47 supplies the first, and
+    # the primitive part left is the second.
+    fac = primitive.factor_term(fib, 94, cache=FactorCache(budget=100_000))
+    assert fac.complete and fac.value() == value
+    assert fac.factors == {lucas_u(fib, 47): 1, value // lucas_u(fib, 47): 1}
+
+
+def test_is_primitive_iff_prime_divides_no_term_at_n_over_l(fib):
+    values = lucas_range(fib, 90)
+    for n in range(1, 91):
+        maximal = [n // l for l in primes_below(n + 1) if n % l == 0]
+        for p in factorize(values[n]).factors:
+            expected = all(values[m] % p for m in maximal)
+            assert primitive._is_primitive(fib, p, n) == expected, (n, p)
