@@ -14,8 +14,6 @@ from .abc_evidence import (
     field_data,
     make_binet_triple,
     quality_report,
-    splitting_type,
-    triple_from_parts,
 )
 from .errors import (
     BadQ,
@@ -57,7 +55,6 @@ from .primitive import (
     obstruction_filter,
     primitive_divisors,
     rank_of_apparition,
-    rank_set,
 )
 from .solver import (
     AdmissibleSet,
@@ -70,7 +67,6 @@ from .solver import (
 from .square_class import (
     IDENTITY_CLASS,
     SquareClass,
-    abs_prime_support,
     class_mul,
     class_of,
 )
@@ -95,7 +91,6 @@ __all__ = [
     # square classes
     "SquareClass",
     "IDENTITY_CLASS",
-    "abs_prime_support",
     "class_of",
     "class_mul",
     # solver
@@ -111,7 +106,6 @@ __all__ = [
     "PrimitiveReport",
     "ObstructionVerdict",
     "rank_of_apparition",
-    "rank_set",
     "primitive_divisors",
     "obstruction_filter",
     # abc evidence
@@ -119,9 +113,7 @@ __all__ = [
     "BinetTriple",
     "QualityReport",
     "field_data",
-    "splitting_type",
     "make_binet_triple",
-    "triple_from_parts",
     "binet_identity_residual",
     "binet_height",
     "binet_radical",

@@ -6,6 +6,13 @@ the projective height collapses to the archimedean places and the radical to
 the prime ideals dividing the middle entry. The quality h/rad is the figure
 the abc conjecture bounds; this module only measures it and never assumes
 the bound.
+
+``make_binet_triple`` builds the canonical triple, e the k-th-power-free
+part of U_n, and checks it against U_n. Height and radical depend only on
+|e*s^k| and its primes, so a ``BinetTriple`` built directly from another
+representation, such as e = U_n and s = 1, gives the same figures.
+``binet_radical`` reads the ramification of each prime p of the middle entry
+off the Kronecker symbol (D/p) of the field discriminant D.
 """
 
 from __future__ import annotations
@@ -13,11 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NonpositiveDiscriminant, NotPrime, SquareDiscriminant
-from .factoring import FactorCache, power_free_part
-from .intmath import is_probable_prime, kronecker_at_prime
+from .errors import NonpositiveDiscriminant, SquareDiscriminant
+from .factoring import FactorCache, factorize, power_free_part
+from .intmath import kronecker_at_prime
 from .lucas import LucasParams, lucas_u
-from .square_class import abs_prime_support
 
 # Raw evaluation of alpha^n in doubles is allowed only below this many nats;
 # past it everything stays in log space and the residual check is skipped.
@@ -30,7 +36,6 @@ class QuadraticFieldData:
     """Invariants of K = Q(sqrt(delta)): delta = conductor^2 * d with d
     squarefree, and the field discriminant is d or 4d."""
 
-    delta: int
     d: int
     discriminant: int
     conductor: int
@@ -73,21 +78,7 @@ def field_data(delta: int, cache: FactorCache | None = None) -> QuadraticFieldDa
     if dec.e == 1:
         raise SquareDiscriminant(delta)
     discriminant = dec.e if dec.e % 4 == 1 else 4 * dec.e
-    return QuadraticFieldData(
-        delta=delta, d=dec.e, discriminant=discriminant, conductor=dec.s
-    )
-
-
-def splitting_type(field: QuadraticFieldData, p: int) -> str:
-    """How p decomposes in the field, from the Kronecker symbol (D/p)."""
-    if p < 2 or not is_probable_prime(p):
-        raise NotPrime(p)
-    symbol = kronecker_at_prime(field.discriminant, p)
-    if symbol == 1:
-        return "split"
-    if symbol == -1:
-        return "inert"
-    return "ramified"
+    return QuadraticFieldData(d=dec.e, discriminant=discriminant, conductor=dec.s)
 
 
 def binet_identity_residual(params: LucasParams, triple: BinetTriple) -> float:
@@ -101,33 +92,22 @@ def binet_identity_residual(params: LucasParams, triple: BinetTriple) -> float:
     return max(first, second) / scale
 
 
-def _checked(params: LucasParams, triple: BinetTriple) -> BinetTriple:
-    value = lucas_u(params, triple.n)
+def make_binet_triple(params: LucasParams, n: int, k: int, cache: FactorCache | None = None) -> BinetTriple:
+    """Canonical triple for U_n, with e the k-th-power-free part.
+
+    The triple is checked against U_n and, below the embedding limit, against
+    the Binet identity.
+    """
+    value = lucas_u(params, n)
+    dec = power_free_part(value, k, cache=cache)
+    triple = BinetTriple(n=n, e=dec.e, s=dec.s, k=k)
     if triple.e * triple.s ** triple.k != value:
-        raise ValueError(
-            f"e*s^k = {triple.e}*{triple.s}^{triple.k} does not equal U_{triple.n}"
-        )
-    if triple.n * math.log(abs(params.alpha)) <= _EMBEDDING_LIMIT_NATS:
+        raise ValueError(f"e*s^k = {triple.e}*{triple.s}^{k} does not equal U_{n}")
+    if n * math.log(abs(params.alpha)) <= _EMBEDDING_LIMIT_NATS:
         residual = binet_identity_residual(params, triple)
         if residual > _RESIDUAL_TOLERANCE:
             raise ValueError(f"binet identity residual {residual:.3e} out of range")
     return triple
-
-
-def make_binet_triple(params: LucasParams, n: int, k: int, cache: FactorCache | None = None) -> BinetTriple:
-    """Canonical triple for U_n, with e the k-th-power-free part."""
-    dec = power_free_part(lucas_u(params, n), k, cache=cache)
-    return _checked(params, BinetTriple(n=n, e=dec.e, s=dec.s, k=k))
-
-
-def triple_from_parts(params: LucasParams, n: int, e: int, s: int, k: int) -> BinetTriple:
-    """Triple from an explicit representation; e need not be k-power-free.
-
-    Height and radical do not depend on the representation (only on |e·s^k|
-    and its prime support), so callers may pass e = U_n, s = 1 to avoid
-    factoring.
-    """
-    return _checked(params, BinetTriple(n=n, e=e, s=s, k=k))
 
 
 def binet_height(params: LucasParams, triple: BinetTriple) -> float:
@@ -155,14 +135,14 @@ def binet_radical(params: LucasParams, triple: BinetTriple, cache: FactorCache |
     ramified in K but dividing none of delta, e, s never enters the sum.
     """
     field = field_data(params.delta, cache=cache)
-    support: set[int] = set(abs_prime_support(params.delta, cache=cache))
-    support.update(abs_prime_support(triple.e, cache=cache))
-    support.update(abs_prime_support(triple.s, cache=cache))
+    support: set[int] = set(factorize(params.delta, cache=cache).support())
+    support.update(factorize(triple.e, cache=cache).support())
+    support.update(factorize(triple.s, cache=cache).support())
     total = 0.0
     for p in sorted(support):
         contribution = math.log(p)
-        # p is prime: it comes off complete factorizations, so the Kronecker
-        # symbol is read directly, without splitting_type's primality test.
+        # p comes off a complete factorization, so it is prime and the
+        # Kronecker symbol (D/p) reads its ramification directly.
         if kronecker_at_prime(field.discriminant, p) == 0:
             contribution /= 2.0
         total += contribution

@@ -28,8 +28,10 @@ the records that factoring computed.
 classify, abc-quality and primitive factor each term U_n with
 ``primitive.factor_term``, which divides out the primes of every U_{n/l}
 (l a prime of n) before rho; the calls that follow then read U_n from the
-cache. Their file thus also receives the terms U_d, d | n, and each one's
-primitive part. solve, admissible and verify factor whole terms.
+cache. A split that stops partial exits 3 there, naming its leftover
+composite and the index n, so the budget is spent on U_n once. Their file
+thus also receives the terms U_d, d | n, and each one's primitive part.
+solve, admissible and verify factor whole terms.
 """
 
 from __future__ import annotations
@@ -111,7 +113,9 @@ def _run_classify(args: argparse.Namespace, params: LucasParams, cache: FactorCa
     terms = lucas_range(params, args.max_index)
     rows = []
     for n in range(1, args.max_index + 1):
-        factor_term(params, n, cache=cache)  # the split; the calls below read U_n from the cache
+        fac = factor_term(params, n, cache=cache)  # the split; the calls below read U_n from the cache
+        if not fac.complete:
+            raise IncompleteFactorization(fac.cofactor, index=n)
         dec = power_free_part(terms[n], args.k, cache=cache)
         cls = class_of(terms[n], cache=cache)
         rows.append((n, *map(str, (terms[n], dec.e, dec.s, cls.as_integer()))))
@@ -185,7 +189,9 @@ def _run_abc_quality(args: argparse.Namespace, params: LucasParams, cache: Facto
         raise ValueError(f"--from must be >= 1, got {args.from_n}")
     results, lines = [], ["n " + " ".join(_QUALITY_COLUMNS)]
     for n in range(args.from_n, args.to_n + 1):
-        factor_term(params, n, cache=cache)  # the split; quality_report reads U_n from the cache
+        fac = factor_term(params, n, cache=cache)  # the split; quality_report reads U_n from the cache
+        if not fac.complete:
+            raise IncompleteFactorization(fac.cofactor, index=n)
         report = quality_report(params, n, args.k, cache=cache)
         cells = [f"{getattr(report, column):.6f}" for column in _QUALITY_COLUMNS]
         # JSON floats are the printed 6-decimal values, read back.

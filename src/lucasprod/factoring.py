@@ -84,7 +84,6 @@ class Factorization:
 class PowerFreeDecomposition:
     """N = e * s^k with e k-th-power-free and carrying the sign of N, s >= 1."""
 
-    k: int
     e: int
     s: int
 
@@ -302,4 +301,4 @@ def power_free_part(n: int, k: int, cache: FactorCache | None = None) -> PowerFr
     if cache is not None:
         cache._remember(e, e_fac)
         cache._remember(s, s_fac)
-    return PowerFreeDecomposition(k=k, e=e, s=s)
+    return PowerFreeDecomposition(e=e, s=s)

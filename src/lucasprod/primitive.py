@@ -11,7 +11,8 @@ therefore rules the index out unconditionally.
 U_gcd(m,n): the primes of U_{n/l}, l a prime of n, are divided out first,
 so only the primitive part reaches ``factorize`` and its rho. The report
 paths (``primitive_divisors``, and the ``classify`` and ``abc-quality``
-runners) factor their terms this way; the solver does not.
+runners) factor their terms this way and stop on a partial result with
+IncompleteFactorization naming the index; the solver does not split.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import IncompleteFactorization, NotFoundWithinBound, NotPrime
 from .factoring import FactorCache, Factorization, factorize
 from .intmath import is_probable_prime, kronecker_at_prime
 from .lucas import LucasParams, lucas_u, lucas_u_mod
-from .square_class import abs_prime_support
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,6 @@ def rank_of_apparition(params: LucasParams, p: int, cache: FactorCache | None = 
         while z % l == 0 and lucas_u_mod(params, z // l, p) == 0:
             z //= l
     return RankOfApparition(p=p, z=z)
-
-
-def rank_set(params: LucasParams, a: int, cache: FactorCache | None = None) -> frozenset[int]:
-    """Ranks of apparition of the primes dividing the coefficient."""
-    return frozenset(rank_of_apparition(params, p, cache=cache).z for p in abs_prime_support(a, cache=cache))
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -167,13 +162,15 @@ def obstruction_filter(
         raise ValueError(f"index must be >= 2, got {n}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    ranks = rank_set(params, a, cache=cache)
+    support = factorize(a, cache=cache).support()
+    # Every rank is computed, so a prime of a whose rank fails raises even when
+    # another prime's rank is n.
+    ranks = {rank_of_apparition(params, p, cache=cache).z for p in support}
     if n in ranks:
         return ObstructionVerdict(
             admissible=True,
             reason=f"index {n} is the rank of apparition of a prime dividing a={a}",
         )
-    support = set(abs_prime_support(a, cache=cache))
     report = primitive_divisors(params, n, cache=cache)
     for entry in report.entries:
         if entry.primitive and entry.prime not in support and entry.multiplicity == 1:

@@ -25,7 +25,7 @@ from .errors import (
 from .factoring import FactorCache, factorize
 from .intmath import perfect_kth_power_root
 from .lucas import LucasParams, lucas_range, lucas_u
-from .square_class import IDENTITY_CLASS, abs_prime_support, class_mul, class_of
+from .square_class import IDENTITY_CLASS, class_mul, class_of
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,6 @@ class ProductEquation:
 class AdmissibleSet:
     """Indices in [2, max_index] passing the termwise power-class test."""
 
-    equation: ProductEquation
     indices: tuple[int, ...]
 
     def __contains__(self, n: int) -> bool:
@@ -85,7 +84,7 @@ def admissible_indices(eq: ProductEquation, cache: FactorCache | None = None) ->
     Needs a complete factorization of every term in range; the typed failure
     names the first index whose factorization exceeded the budget.
     """
-    support = set(abs_prime_support(eq.a, cache=cache))
+    support = set(factorize(eq.a, cache=cache).support())
     terms = lucas_range(eq.params, eq.max_index)
     admitted = []
     for n in range(2, eq.max_index + 1):
@@ -94,7 +93,7 @@ def admissible_indices(eq: ProductEquation, cache: FactorCache | None = None) ->
             raise IncompleteFactorization(fac.cofactor, index=n)
         if all(p in support or exp % eq.k == 0 for p, exp in fac.factors.items()):
             admitted.append(n)
-    return AdmissibleSet(equation=eq, indices=tuple(admitted))
+    return AdmissibleSet(tuple(admitted))
 
 
 def _trivial_certificate(eq: ProductEquation) -> SolutionCertificate | None:
@@ -124,7 +123,7 @@ def enumerate_solutions(eq: ProductEquation, cache: FactorCache | None = None) -
     tuple appears (flagged trivial) exactly when a = +-y^k is solvable.
     """
     admissible = admissible_indices(eq, cache=cache).indices
-    terms = lucas_range(eq.params, eq.max_index)
+    terms = {n: lucas_u(eq.params, n) for n in admissible}
 
     certificates = []
     trivial = _trivial_certificate(eq)
@@ -175,7 +174,7 @@ def verify_solution(
             if g != 1:
                 raise NotPairwiseCoprime(stripped[i], stripped[j])
 
-    support = set(abs_prime_support(eq.a, cache=cache))
+    support = set(factorize(eq.a, cache=cache).support())
     term_values = {n: lucas_u(eq.params, n) for n in stripped}
     term_factorizations: dict[int, dict[int, int]] = {}
     for n in stripped:

@@ -2,6 +2,8 @@
 
 A class is stored canonically as a sign and a strictly sorted prime tuple;
 the represented integer sign * prod(primes) is the signed squarefree part.
+``class_of`` reads the class off the factorization of n, through the given
+cache; the distinct primes of an integer n are ``factorize(n).support()``.
 """
 
 from __future__ import annotations
@@ -40,16 +42,11 @@ class SquareClass:
 IDENTITY_CLASS = SquareClass(1, ())
 
 
-def abs_prime_support(n: int, cache: FactorCache | None = None) -> tuple[int, ...]:
-    """Sorted distinct primes dividing |n|."""
-    return factorize(n, cache=cache).support()
-
-
 def class_of(n: int, cache: FactorCache | None = None) -> SquareClass:
     """Canonical class of n: the sign and primes of its signed squarefree part."""
     e = power_free_part(n, 2, cache=cache).e
     sign = 1 if e > 0 else -1
-    primes = abs_prime_support(e, cache=cache) if abs(e) > 1 else ()
+    primes = factorize(e, cache=cache).support() if abs(e) > 1 else ()
     return SquareClass(sign=sign, primes=primes)
 
 

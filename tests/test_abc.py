@@ -13,7 +13,6 @@ from lucasprod import (
     FactorCache,
     IncompleteFactorization,
     NonpositiveDiscriminant,
-    NotPrime,
     ProductEquation,
     SquareDiscriminant,
     admissible_indices,
@@ -24,12 +23,10 @@ from lucasprod import (
     lucas_range,
     make_binet_triple,
     quality_report,
-    splitting_type,
-    triple_from_parts,
     validate_params,
 )
 from lucasprod.abc_evidence import BinetTriple
-from lucasprod.intmath import primes_below
+from lucasprod.intmath import kronecker_at_prime, primes_below
 
 
 def test_field_data_examples():
@@ -53,30 +50,28 @@ def test_field_data_rejections():
 
 
 def test_splitting_matches_root_counting():
-    # Odd p: split iff D is a nonzero square mod p. At p=2 the square test
-    # says nothing; there the class of D mod 8 decides (1: split, 5: inert).
+    # The Kronecker symbol (D/p) of the field discriminant D, which
+    # binet_radical reads, is 1 when p splits, -1 when it is inert and 0 when
+    # it ramifies. Odd p: split iff D is a nonzero square mod p. At p=2 the
+    # square test says nothing; there the class of D mod 8 decides (1: split,
+    # 5: inert).
     for delta in (5, 8, 45):
         fd = field_data(delta)
         for p in primes_below(200):
-            got = splitting_type(fd, p)
+            got = kronecker_at_prime(fd.discriminant, p)
             if fd.discriminant % p == 0:
-                expected = "ramified"
+                expected = 0
             elif p == 2:
-                expected = "split" if fd.discriminant % 8 == 1 else "inert"
+                expected = 1 if fd.discriminant % 8 == 1 else -1
             elif any(x * x % p == fd.discriminant % p for x in range(p)):
-                expected = "split"
+                expected = 1
             else:
-                expected = "inert"
+                expected = -1
             assert got == expected, (delta, p)
-    with pytest.raises(NotPrime):
-        splitting_type(field_data(5), 6)
-
-
-def test_splitting_known_values():
-    fd = field_data(5)
-    assert splitting_type(fd, 11) == "split"
-    assert splitting_type(fd, 2) == "inert"
-    assert splitting_type(fd, 5) == "ramified"
+    discriminant = field_data(5).discriminant
+    assert kronecker_at_prime(discriminant, 11) == 1  # split
+    assert kronecker_at_prime(discriminant, 2) == -1  # inert
+    assert kronecker_at_prime(discriminant, 5) == 0  # ramified
 
 
 def test_triple_construction(fib, pell, shared_cache):
@@ -86,8 +81,6 @@ def test_triple_construction(fib, pell, shared_cache):
     assert (triple.e, triple.s) == (1, 13)
     triple = make_binet_triple(fib, 7, 2, cache=shared_cache)
     assert (triple.e, triple.s) == (13, 1)
-    with pytest.raises(ValueError):
-        triple_from_parts(fib, 5, 2, 1, 2)  # 2 * 1^2 is not U_5
 
 
 def test_triple_field_validation():
@@ -125,7 +118,7 @@ def test_height_matches_highprecision_reference(fib, pell):
     for params in (fib, pell):
         values = lucas_range(params, 200)
         for n in range(1, 201):
-            triple = triple_from_parts(params, n, values[n], 1, 2)
+            triple = BinetTriple(n, values[n], 1, 2)
             got = binet_height(params, triple)
             want = _mp_height(params, n, abs(values[n]))
             assert abs(got - want) <= 1e-6, (params.p, n)
@@ -136,7 +129,7 @@ def test_height_lower_bound(fib, pell):
         values = lucas_range(params, 200)
         log_alpha = math.log(abs(params.alpha))
         for n in range(1, 201):
-            triple = triple_from_parts(params, n, values[n], 1, 2)
+            triple = BinetTriple(n, values[n], 1, 2)
             assert binet_height(params, triple) - n * log_alpha >= 0.0
 
 
@@ -144,7 +137,7 @@ def test_height_is_representation_independent(fib, shared_cache):
     values = lucas_range(fib, 60)
     for n in range(1, 61):
         canonical = make_binet_triple(fib, n, 2, cache=shared_cache)
-        plain = triple_from_parts(fib, n, values[n], 1, 2)
+        plain = BinetTriple(n, values[n], 1, 2)
         got = binet_height(fib, canonical)
         assert abs(got - binet_height(fib, plain)) <= 1e-9
 
@@ -167,17 +160,17 @@ def test_radical_of_unit_triples(fib, pell):
         fib_want = float(mp.log(5) / 2)
         pell_want = float(mp.log(2) / 2)
         wide_want = float(mp.log(3) + mp.log(5) / 2)
-    assert abs(binet_radical(fib, triple_from_parts(fib, 1, 1, 1, 2)) - fib_want) <= 1e-6
-    assert abs(binet_radical(pell, triple_from_parts(pell, 1, 1, 1, 2)) - pell_want) <= 1e-6
+    assert abs(binet_radical(fib, BinetTriple(1, 1, 1, 2)) - fib_want) <= 1e-6
+    assert abs(binet_radical(pell, BinetTriple(1, 1, 1, 2)) - pell_want) <= 1e-6
     wide = validate_params(7, -1)  # delta = 45 = 3^2 * 5, conductor prime 3 is inert
-    assert abs(binet_radical(wide, triple_from_parts(wide, 1, 1, 1, 2)) - wide_want) <= 1e-6
+    assert abs(binet_radical(wide, BinetTriple(1, 1, 1, 2)) - wide_want) <= 1e-6
 
 
 def test_radical_is_representation_independent(fib, shared_cache):
     values = lucas_range(fib, 40)
     for n in range(1, 41):
         canonical = make_binet_triple(fib, n, 2, cache=shared_cache)
-        plain = triple_from_parts(fib, n, values[n], 1, 2)
+        plain = BinetTriple(n, values[n], 1, 2)
         assert binet_radical(fib, canonical, cache=shared_cache) == binet_radical(
             fib, plain, cache=shared_cache
         )

@@ -448,6 +448,27 @@ def test_run_cache_factors_each_term_once(capsys, monkeypatch):
             assert run_total < bare_total, argv
 
 
+def test_partial_split_exits_without_factoring_the_term_again(capsys, monkeypatch):
+    """A report whose split of U_n stops partial exits 3 on it, instead of
+    spending the budget a second time on the whole term."""
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    rho_work = []
+    real_rho = factoring._brent_rho
+
+    def recording_rho(c, budget):
+        divisor, used = real_rho(c, budget)
+        rho_work.append(used)
+        return divisor, used
+
+    monkeypatch.setattr(factoring, "_brent_rho", recording_rho)
+    code, out, err = run_cli(capsys, ["abc-quality", *FIB, "--from", "139", "--to", "139", "--budget", "100000"])
+    assert (code, out) == (3, "")
+    assert len(rho_work) == 1 and rho_work[0] <= 100_000
+    composite = int(re.search(r"composite (\d+)", err).group(1))
+    assert composite > 1 and lucas_u(validate_params(1, 1), 139) % composite == 0
+    assert "at index 139" in err
+
+
 def _without_primes_of(value: int, other: int) -> int:
     """value with every prime of other divided out, by gcds alone."""
     g = math.gcd(value, other)

@@ -34,6 +34,12 @@ def test_small_known_values():
         factorize(0)
 
 
+def test_support_is_the_primes_of_the_absolute_value():
+    assert factorize(1).support() == ()
+    assert factorize(-1).support() == ()
+    assert factorize(-360).support() == (2, 3, 5)
+
+
 def test_matches_trial_division():
     rng = random.Random(0xFAC7)
     for _ in range(200):

@@ -14,7 +14,6 @@ from lucasprod import (
     primitive,
     primitive_divisors,
     rank_of_apparition,
-    rank_set,
     validate_params,
 )
 from lucasprod.intmath import kronecker_at_prime, primes_below
@@ -109,10 +108,14 @@ def test_lucas_u_mod_matches_exact_terms():
                 assert lucas_u_mod(params, n, m) == exact % m, (p, q, n, m)
 
 
-def test_rank_set(fib):
-    assert rank_set(fib, 10) == frozenset((3, 5))
-    assert rank_set(fib, 1) == frozenset()
-    assert rank_set(fib, -1) == frozenset()
+def test_obstruction_filter_admits_ranks_of_the_coefficient(fib):
+    # z(2) = 3 and z(5) = 5 for Fibonacci, so a = 10 admits both outright.
+    for n in (3, 5):
+        assert "rank" in obstruction_filter(fib, 10, n).reason
+    # a = +-1 has no primes, so no index is a rank of one of them.
+    for a in (1, -1):
+        for n in range(2, 31):
+            assert "rank" not in obstruction_filter(fib, a, n).reason
 
 
 def test_primitive_marks_match_first_occurrence(fib, pell, shared_cache):

@@ -7,7 +7,6 @@ import pytest
 from lucasprod import (
     IDENTITY_CLASS,
     SquareClass,
-    abs_prime_support,
     class_mul,
     class_of,
 )
@@ -73,9 +72,3 @@ def test_group_axioms_exhaustive():
     for _ in range(500):
         c1, c2, c3 = (rng.choice(classes) for _ in range(3))
         assert class_mul(class_mul(c1, c2), c3) == class_mul(c1, class_mul(c2, c3))
-
-
-def test_abs_prime_support():
-    assert abs_prime_support(1) == ()
-    assert abs_prime_support(-1) == ()
-    assert abs_prime_support(-360) == (2, 3, 5)
