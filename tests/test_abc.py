@@ -68,6 +68,9 @@ def test_splitting_matches_root_counting():
             else:
                 expected = -1
             assert got == expected, (delta, p)
+
+
+def test_splitting_known_values():
     discriminant = field_data(5).discriminant
     assert kronecker_at_prime(discriminant, 11) == 1  # split
     assert kronecker_at_prime(discriminant, 2) == -1  # inert
