@@ -6,12 +6,11 @@ numerical abc-quality evidence for the governing triples.
 
 from .abc_evidence import (
     BinetTriple,
-    QuadraticFieldData,
     QualityReport,
     binet_height,
     binet_identity_residual,
     binet_radical,
-    field_data,
+    field_discriminant,
     make_binet_triple,
     quality_report,
 )
@@ -109,10 +108,9 @@ __all__ = [
     "primitive_divisors",
     "obstruction_filter",
     # abc evidence
-    "QuadraticFieldData",
     "BinetTriple",
     "QualityReport",
-    "field_data",
+    "field_discriminant",
     "make_binet_triple",
     "binet_identity_residual",
     "binet_height",

@@ -12,7 +12,8 @@ part of U_n, and checks it against U_n. Height and radical depend only on
 |e*s^k| and its primes, so a ``BinetTriple`` built directly from another
 representation, such as e = U_n and s = 1, gives the same figures.
 ``binet_radical`` reads the ramification of each prime p of the middle entry
-off the Kronecker symbol (D/p) of the field discriminant D.
+off the Kronecker symbol (D/p) of the field discriminant
+D = ``field_discriminant(Delta)``, the one invariant of K it needs.
 """
 
 from __future__ import annotations
@@ -29,16 +30,6 @@ from .lucas import LucasParams, lucas_u
 # past it everything stays in log space and the residual check is skipped.
 _EMBEDDING_LIMIT_NATS = 500.0
 _RESIDUAL_TOLERANCE = 1e-6
-
-
-@dataclass(frozen=True)
-class QuadraticFieldData:
-    """Invariants of K = Q(sqrt(delta)): delta = conductor^2 * d with d
-    squarefree, and the field discriminant is d or 4d."""
-
-    d: int
-    discriminant: int
-    conductor: int
 
 
 @dataclass(frozen=True)
@@ -70,15 +61,14 @@ class QualityReport:
     upper_slack_term: float
 
 
-def field_data(delta: int, cache: FactorCache | None = None) -> QuadraticFieldData:
-    """Squarefree part, field discriminant, and conductor for Q(sqrt(delta))."""
+def field_discriminant(delta: int, cache: FactorCache | None = None) -> int:
+    """Discriminant of Q(sqrt(delta)): d or 4d, d the squarefree part of delta."""
     if delta <= 0:
         raise NonpositiveDiscriminant(delta)
-    dec = power_free_part(delta, 2, cache=cache)
-    if dec.e == 1:
+    d = power_free_part(delta, 2, cache=cache).e
+    if d == 1:
         raise SquareDiscriminant(delta)
-    discriminant = dec.e if dec.e % 4 == 1 else 4 * dec.e
-    return QuadraticFieldData(d=dec.e, discriminant=discriminant, conductor=dec.s)
+    return d if d % 4 == 1 else 4 * d
 
 
 def binet_identity_residual(params: LucasParams, triple: BinetTriple) -> float:
@@ -134,7 +124,7 @@ def binet_radical(params: LucasParams, triple: BinetTriple, cache: FactorCache |
     and inert primes contribute log p, ramified ones (log p)/2. A prime
     ramified in K but dividing none of delta, e, s never enters the sum.
     """
-    field = field_data(params.delta, cache=cache)
+    discriminant = field_discriminant(params.delta, cache=cache)
     support: set[int] = set(factorize(params.delta, cache=cache).support())
     support.update(factorize(triple.e, cache=cache).support())
     support.update(factorize(triple.s, cache=cache).support())
@@ -143,7 +133,7 @@ def binet_radical(params: LucasParams, triple: BinetTriple, cache: FactorCache |
         contribution = math.log(p)
         # p comes off a complete factorization, so it is prime and the
         # Kronecker symbol (D/p) reads its ramification directly.
-        if kronecker_at_prime(field.discriminant, p) == 0:
+        if kronecker_at_prime(discriminant, p) == 0:
             contribution /= 2.0
         total += contribution
     return total

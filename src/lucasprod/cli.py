@@ -28,9 +28,10 @@ the records that factoring computed.
 classify, abc-quality and primitive factor each term U_n with
 ``primitive.factor_term``, which divides out the primes of every U_{n/l}
 (l a prime of n) before rho; the calls that follow then read U_n from the
-cache. A split that stops partial exits 3 there, naming its leftover
-composite and the index n, so the budget is spent on U_n once. Their file
-thus also receives the terms U_d, d | n, and each one's primitive part.
+cache. A split that stops partial exits 3 in ``factor_term`` itself, naming
+its leftover composite and the index n, so the budget is spent on U_n once.
+Their file thus also receives the terms U_d, d | n, and each one's primitive
+part. classify reads the square class of U_n as its signed 2-free part.
 solve, admissible and verify factor whole terms.
 """
 
@@ -63,7 +64,6 @@ from .solver import (
     enumerate_solutions,
     verify_solution,
 )
-from .square_class import class_of
 
 CACHE_ENV_VAR = "LUCAS_FACTOR_CACHE"
 
@@ -113,12 +113,10 @@ def _run_classify(args: argparse.Namespace, params: LucasParams, cache: FactorCa
     terms = lucas_range(params, args.max_index)
     rows = []
     for n in range(1, args.max_index + 1):
-        fac = factor_term(params, n, cache=cache)  # the split; the calls below read U_n from the cache
-        if not fac.complete:
-            raise IncompleteFactorization(fac.cofactor, index=n)
+        factor_term(params, n, cache=cache)  # the split; the calls below read U_n from the cache
         dec = power_free_part(terms[n], args.k, cache=cache)
-        cls = class_of(terms[n], cache=cache)
-        rows.append((n, *map(str, (terms[n], dec.e, dec.s, cls.as_integer()))))
+        cls = power_free_part(terms[n], 2, cache=cache).e  # the signed 2-free part
+        rows.append((n, *map(str, (terms[n], dec.e, dec.s, cls))))
     return (
         [dict(zip(("n", "value", "e", "s", "class"), row)) for row in rows],
         ["n value e s class", *(" ".join(map(str, row)) for row in rows)],
@@ -189,9 +187,7 @@ def _run_abc_quality(args: argparse.Namespace, params: LucasParams, cache: Facto
         raise ValueError(f"--from must be >= 1, got {args.from_n}")
     results, lines = [], ["n " + " ".join(_QUALITY_COLUMNS)]
     for n in range(args.from_n, args.to_n + 1):
-        fac = factor_term(params, n, cache=cache)  # the split; quality_report reads U_n from the cache
-        if not fac.complete:
-            raise IncompleteFactorization(fac.cofactor, index=n)
+        factor_term(params, n, cache=cache)  # the split; quality_report reads U_n from the cache
         report = quality_report(params, n, args.k, cache=cache)
         cells = [f"{getattr(report, column):.6f}" for column in _QUALITY_COLUMNS]
         # JSON floats are the printed 6-decimal values, read back.

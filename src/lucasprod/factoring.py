@@ -168,7 +168,8 @@ class FactorCache:
         return hit.copy() if hit is not None else None
 
     def _remember(self, n: int, fac: Factorization) -> bool:
-        """Keep a complete factorization in memory only; True when n is new."""
+        """Keep a complete factorization in memory only; True when n is new.
+        Every store goes through here, which refuses a partial result."""
         if not fac.complete or n in self._entries:
             return False
         self._entries[n] = fac.copy()
@@ -277,7 +278,7 @@ def factorize(n: int, cache: FactorCache | None = None) -> Factorization:
         pending.append(c // divisor)
 
     result = Factorization(sign, dict(sorted(factors.items())), cofactor)
-    if cache is not None and result.complete:
+    if cache is not None:
         cache.add(n, result)
     return result
 

@@ -9,10 +9,12 @@ therefore rules the index out unconditionally.
 
 ``factor_term`` factors U_n by strong divisibility, gcd(U_m, U_n) =
 U_gcd(m,n): the primes of U_{n/l}, l a prime of n, are divided out first,
-so only the primitive part reaches ``factorize`` and its rho. The report
-paths (``primitive_divisors``, and the ``classify`` and ``abc-quality``
-runners) factor their terms this way and stop on a partial result with
-IncompleteFactorization naming the index; the solver does not split.
+so only the primitive part reaches ``factorize`` and its rho. A split that
+stops partial raises IncompleteFactorization naming the index there, and
+nowhere else. The report paths (``primitive_divisors``, and the
+``classify`` and ``abc-quality`` runners) factor their terms this way; the
+solver does not split. ``rank_of_apparition`` and the primitivity marks of
+``primitive_divisors`` share one descent through the law of apparition.
 """
 
 from __future__ import annotations
@@ -69,11 +71,17 @@ def rank_of_apparition(params: LucasParams, p: int, cache: FactorCache | None = 
     fac = factorize(m, cache=cache)
     if not fac.complete:
         raise IncompleteFactorization(fac.cofactor)
-    z = m
-    for l in fac.factors:
+    return RankOfApparition(p=p, z=_descend(params, p, m, fac.factors))
+
+
+def _descend(params: LucasParams, p: int, z: int, primes) -> int:
+    """z(p), given p | U_z and the distinct primes of z: as p | U_n iff
+    z(p) | n, each prime l is divided out of z while p still divides U_{z/l}.
+    """
+    for l in primes:
         while z % l == 0 and lucas_u_mod(params, z // l, p) == 0:
             z //= l
-    return RankOfApparition(p=p, z=z)
+    return z
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -89,28 +97,25 @@ def _prime_divisors(n: int) -> list[int]:
     return primes + [n] if n > 1 else primes
 
 
-def _is_primitive(params: LucasParams, p: int, n: int) -> bool:
-    """Whether p | U_n has rank exactly n, given that it divides U_n.
-
-    Rank divisibility (p | U_m iff z(p) | m) reduces the test to the maximal
-    proper divisors n/l over primes l | n, each a residue of U mod p.
-    """
-    return all(lucas_u_mod(params, n // l, p) != 0 for l in _prime_divisors(n))
-
-
 def factor_term(params: LucasParams, n: int, cache: FactorCache | None = None) -> Factorization:
-    """Factorization of U_n (n >= 1), sending only its primitive part to ``factorize``.
+    """Complete factorization of U_n (n >= 1), sending only its primitive part to ``factorize``.
 
     By strong divisibility every prime of U_n that is not primitive divides
     some U_{n/l}, l a prime of n. Those terms are factored first, by recursion
     through the same cache, and their primes are divided out of U_n; the
-    remainder is exactly the primitive part. An incomplete U_{n/l} contributes
-    the primes it found, and its cofactor stays in the remainder. A complete
-    result is stored in the cache (and its file) under U_n; a partial one is
-    returned as it is.
+    remainder is exactly the primitive part. The result is stored in the
+    cache (and its file) under U_n. A split that stops partial raises
+    IncompleteFactorization naming its leftover composite and the index n.
     """
-    if cache is None:
-        cache = FactorCache()
+    fac = _split(params, n, FactorCache() if cache is None else cache)
+    if not fac.complete:
+        raise IncompleteFactorization(fac.cofactor, index=n)
+    return fac
+
+
+def _split(params: LucasParams, n: int, cache: FactorCache) -> Factorization:
+    """``factor_term`` without the completeness check: an incomplete U_{n/l}
+    contributes the primes it found, and its cofactor stays in the remainder."""
     value = lucas_u(params, n)
     hit = cache.get(value)
     if hit is not None:
@@ -118,27 +123,28 @@ def factor_term(params: LucasParams, n: int, cache: FactorCache | None = None) -
     remainder = abs(value)
     factors: dict[int, int] = {}
     for l in _prime_divisors(n):
-        for p in factor_term(params, n // l, cache=cache).factors:
+        for p in _split(params, n // l, cache).factors:
             while remainder % p == 0:
                 factors[p] = factors.get(p, 0) + 1
                 remainder //= p
     rest = factorize(remainder, cache=cache)
     factors.update(rest.factors)  # the remainder keeps no prime divided out above
     fac = Factorization(1 if value > 0 else -1, dict(sorted(factors.items())), rest.cofactor)
-    if fac.complete:
-        cache.add(value, fac)
+    cache.add(value, fac)
     return fac
 
 
 def primitive_divisors(params: LucasParams, n: int, cache: FactorCache | None = None) -> PrimitiveReport:
-    """All prime divisors of U_n with multiplicities and primitivity marks."""
+    """All prime divisors of U_n with multiplicities and primitivity marks.
+
+    p is primitive iff its rank of apparition is n itself.
+    """
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
     fac = factor_term(params, n, cache=cache)
-    if not fac.complete:
-        raise IncompleteFactorization(fac.cofactor, index=n)
+    primes_of_n = _prime_divisors(n)
     entries = tuple(
-        PrimitiveEntry(prime=p, multiplicity=e, primitive=_is_primitive(params, p, n))
+        PrimitiveEntry(prime=p, multiplicity=e, primitive=_descend(params, p, n, primes_of_n) == n)
         for p, e in sorted(fac.factors.items())
     )
     return PrimitiveReport(n=n, entries=entries)

@@ -67,14 +67,12 @@ class SolutionCertificate:
     ``indices`` is strictly increasing and pairwise coprime, all >= 2; the
     empty tuple is the trivial solution of A = +-y^k. ``valuation_table``
     maps each relevant prime to the (index, valuation) pairs of the factors
-    it divides. ``canonical`` records that index-1 factors were stripped from
-    the tuple that was verified.
+    it divides.
     """
 
     indices: tuple[int, ...]
     y: int
     valuation_table: dict[int, tuple[tuple[int, int], ...]]
-    canonical: bool
     trivial: bool
 
 
@@ -99,9 +97,9 @@ def admissible_indices(eq: ProductEquation, cache: FactorCache | None = None) ->
 def _trivial_certificate(eq: ProductEquation) -> SolutionCertificate | None:
     """Empty-product solution of a = +-y^k, when one exists."""
     if eq.a == 1:
-        return SolutionCertificate((), 1, {}, canonical=False, trivial=True)
+        return SolutionCertificate((), 1, {}, trivial=True)
     if eq.a == -1 and eq.k % 2 == 1:
-        return SolutionCertificate((), -1, {}, canonical=False, trivial=True)
+        return SolutionCertificate((), -1, {}, trivial=True)
     return None
 
 
@@ -166,7 +164,6 @@ def verify_solution(
         raise ValueError(f"indices must be >= 1, got {indices}")
 
     stripped = tuple(sorted(n for n in indices if n != 1))
-    canonical = len(stripped) != len(indices)
 
     for i in range(len(stripped)):
         for j in range(i + 1, len(stripped)):
@@ -206,7 +203,7 @@ def verify_solution(
         # All factors were U_1; the equation degenerates to a = +-y^k.
         trivial = _trivial_certificate(eq)
         if trivial is not None:
-            return SolutionCertificate((), trivial.y, {}, canonical=True, trivial=True)
+            return trivial
 
     coefficient_factors = factorize(eq.a, cache=cache).factors
     if product % eq.a != 0:
@@ -231,7 +228,6 @@ def verify_solution(
         indices=stripped,
         y=y,
         valuation_table=table,
-        canonical=canonical,
         trivial=not stripped,
     )
 

@@ -19,9 +19,10 @@ from lucasprod import (
     binet_height,
     binet_identity_residual,
     binet_radical,
-    field_data,
+    field_discriminant,
     lucas_range,
     make_binet_triple,
+    power_free_part,
     quality_report,
     validate_params,
 )
@@ -30,23 +31,20 @@ from lucasprod.intmath import kronecker_at_prime, primes_below
 
 
 def test_field_data_examples():
-    assert field_data(5) == field_data(5)
-    fd = field_data(5)
-    assert (fd.d, fd.discriminant, fd.conductor) == (5, 5, 1)
-    fd = field_data(8)
-    assert (fd.d, fd.discriminant, fd.conductor) == (2, 8, 2)
-    fd = field_data(45)
-    assert (fd.d, fd.discriminant, fd.conductor) == (5, 5, 3)
+    # delta = conductor^2 * d with d squarefree; the discriminant is d or 4d.
+    for delta, d, discriminant, conductor in ((5, 5, 5, 1), (8, 2, 8, 2), (45, 5, 5, 3)):
+        dec = power_free_part(delta, 2)
+        assert (dec.e, field_discriminant(delta), dec.s) == (d, discriminant, conductor)
 
 
 def test_field_data_rejections():
     with pytest.raises(NonpositiveDiscriminant):
-        field_data(0)
+        field_discriminant(0)
     with pytest.raises(NonpositiveDiscriminant):
-        field_data(-5)
+        field_discriminant(-5)
     for square in (4, 9, 16, 144):
         with pytest.raises(SquareDiscriminant):
-            field_data(square)
+            field_discriminant(square)
 
 
 def test_splitting_matches_root_counting():
@@ -56,14 +54,14 @@ def test_splitting_matches_root_counting():
     # square test says nothing; there the class of D mod 8 decides (1: split,
     # 5: inert).
     for delta in (5, 8, 45):
-        fd = field_data(delta)
+        discriminant = field_discriminant(delta)
         for p in primes_below(200):
-            got = kronecker_at_prime(fd.discriminant, p)
-            if fd.discriminant % p == 0:
+            got = kronecker_at_prime(discriminant, p)
+            if discriminant % p == 0:
                 expected = 0
             elif p == 2:
-                expected = 1 if fd.discriminant % 8 == 1 else -1
-            elif any(x * x % p == fd.discriminant % p for x in range(p)):
+                expected = 1 if discriminant % 8 == 1 else -1
+            elif any(x * x % p == discriminant % p for x in range(p)):
                 expected = 1
             else:
                 expected = -1
@@ -71,7 +69,7 @@ def test_splitting_matches_root_counting():
 
 
 def test_splitting_known_values():
-    discriminant = field_data(5).discriminant
+    discriminant = field_discriminant(5)
     assert kronecker_at_prime(discriminant, 11) == 1  # split
     assert kronecker_at_prime(discriminant, 2) == -1  # inert
     assert kronecker_at_prime(discriminant, 5) == 0  # ramified

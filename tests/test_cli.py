@@ -19,7 +19,16 @@ from collections import Counter
 
 import pytest
 
-from lucasprod import FactorCache, NotFoundWithinBound, SeparationLawViolation, cli, factoring, primitive, solver
+from lucasprod import (
+    FactorCache,
+    NotFoundWithinBound,
+    SeparationLawViolation,
+    class_of,
+    cli,
+    factoring,
+    primitive,
+    solver,
+)
 from lucasprod.cli import CACHE_ENV_VAR, main
 from lucasprod.factoring import factorize, power_free_part
 from lucasprod.lucas import lucas_u, validate_params
@@ -64,6 +73,21 @@ def test_classify_reports_power_free_parts(capsys):
     rows = {line.split()[0]: line.split() for line in lines[1:]}
     assert rows["6"] == ["6", "8", "2", "2", "2"]
     assert rows["12"] == ["12", "144", "1", "12", "1"]
+
+
+def test_classify_class_is_the_square_class_of_each_term(capsys):
+    for p, q in ((1, 1), (2, 1), (3, -1), (3, 1), (4, 1), (6, 1)):
+        params, cache = validate_params(p, q), FactorCache()
+        for k in (2, 3):
+            argv = ["classify", "--p", str(p), "--q", str(q), "--max", "40", "--k", str(k), "--json"]
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 0
+            rows = json.loads(out)["results"]
+            assert [row["n"] for row in rows] == list(range(1, 41))
+            for row in rows:
+                value = lucas_u(params, row["n"])
+                assert row["value"] == str(value)
+                assert int(row["class"]) == class_of(value, cache=cache).as_integer(), (p, q, k, row["n"])
 
 
 def test_solve_lists_certificates(capsys):

@@ -197,11 +197,14 @@ def test_cache_roundtrip(tmp_path):
 def test_cache_skips_partial_results(tmp_path):
     p = _next_prime(2 ** 50 + 11)
     q = _next_prime(2 ** 50 + 1000)
-    cache = FactorCache(str(tmp_path / "partial.cache"), budget=10)
+    path = tmp_path / "partial.cache"
+    cache = FactorCache(str(path), budget=10)
     fac = factorize(p * q, cache)
     assert not fac.complete
+    cache.add(p * q, fac)
     assert cache.get(p * q) is None
     assert len(cache) == 0
+    assert not path.exists()
 
 
 def test_cache_rejects_malformed_lines(tmp_path):

@@ -222,4 +222,4 @@ def test_is_primitive_iff_prime_divides_no_term_at_n_over_l(fib):
         maximal = [n // l for l in primes_below(n + 1) if n % l == 0]
         for p in factorize(values[n]).factors:
             expected = all(values[m] % p for m in maximal)
-            assert primitive._is_primitive(fib, p, n) == expected, (n, p)
+            assert (primitive._descend(fib, p, n, primitive._prime_divisors(n)) == n) == expected, (n, p)

@@ -89,7 +89,6 @@ def test_enumerated_certificates_are_sound(fib, shared_cache):
             product *= lucas_u(fib, n)
         assert 1 * cert.y ** 2 == product
         assert cert.trivial == (cert.indices == ())
-        assert not cert.canonical
 
 
 def test_trivial_solutions(fib):
@@ -104,17 +103,17 @@ def test_trivial_solutions(fib):
 def test_verify_accepts_known_solution(fib, shared_cache):
     eq = _eq(fib, 5, 2, 50, 2)
     cert = verify_solution(eq, (5, 12), cache=shared_cache)
-    assert cert.y == 12
+    assert (cert.indices, cert.y) == ((5, 12), 12)
     assert cert.valuation_table == {
         2: ((12, 4),),
         3: ((12, 2),),
         5: ((5, 1),),
     }
-    assert not cert.canonical and not cert.trivial
-    # order does not matter; index 1 is stripped and flagged
+    assert not cert.trivial
+    # order does not matter; index 1 is stripped
     assert verify_solution(eq, (12, 5), cache=shared_cache).y == 12
     stripped = verify_solution(eq, (1, 5, 12), cache=shared_cache)
-    assert stripped.y == 12 and stripped.canonical
+    assert (stripped.indices, stripped.y) == ((5, 12), 12)
 
 
 def test_verify_typed_rejections(fib, shared_cache):
@@ -163,7 +162,7 @@ def test_verify_input_validation(fib):
 
 def test_verify_all_ones_tuple(fib):
     cert = verify_solution(_eq(fib, 1, 2, 12, 2), (1,))
-    assert (cert.indices, cert.y, cert.trivial, cert.canonical) == ((), 1, True, True)
+    assert (cert.indices, cert.y, cert.trivial) == ((), 1, True)
     cert = verify_solution(_eq(fib, -1, 3, 12, 2), (1, 1))
     assert cert.y == -1
     # a=5 against a product of ones fails at the class comparison, which
