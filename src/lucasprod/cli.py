@@ -209,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--q", type=int, required=True, help="recurrence coefficient Q, +1 or -1")
         sp.add_argument("--json", action="store_true", dest="as_json", help="emit one JSON record")
         sp.add_argument("--cache", default=None, help="factor cache file (overrides LUCAS_FACTOR_CACHE)")
-        sp.add_argument("--budget", type=int, default=DEFAULT_RHO_BUDGET, help="rho iteration budget per composite")
+        sp.add_argument("--budget", type=int, default=DEFAULT_RHO_BUDGET, help="budget per composite: rho iterations plus p-1 exponent bits")
         # a and k are in every JSON record's params, also where no flag sets them.
         sp.set_defaults(runner=runner, a=None, k=2)
         return sp

@@ -3,9 +3,21 @@
 Pipeline: trial division up to 10^5 (each chunk of primes screened by one
 gcd), perfect-power peeling, Miller-Rabin (deterministic below ~3.3e24, 40
 fixed rounds above), then Brent's variant of Pollard rho with deterministic
-restarts. The budget is counted in rho iterations per composite; when it runs
-out the result is Partial and callers that need completeness get a typed
-IncompleteFactorization.
+restarts. The budget is counted per composite, in rho iterations plus the
+cost of the p-1 step below; when it runs out the result is Partial and
+callers that need completeness get a typed IncompleteFactorization.
+
+Given ``rank=n``, a hint that every prime p of the input has rank of
+apparition n in a Lucas sequence (``primitive.factor_term`` gives it for the
+primitive part of U_n), one Pollard p-1 step runs before rho: n divides
+p - (delta/p), so when (delta/p) = 1 and (p - 1)/n divides lcm(1..2000),
+2^(n * lcm(1..2000)) = 1 (mod p) and a gcd can split p off. The step's
+cost, the bit length of that exponent, comes out of the budget of the
+composite it runs on, and rho gets the rest; a budget below the cost skips
+the step. A wrong hint costs time and budget, never a wrong result. The solver
+factors whole terms, whose primes have many different ranks, so it has no
+rank to give and passes no hint: its composites get the whole budget for
+rho, and one that exhausts it is the composite plain rho leaves.
 
 A FactorCache is the one factoring context of a run: it carries the rho
 budget and makes each distinct integer cost one factorization. Every function
@@ -46,6 +58,20 @@ _TRIAL_CHUNKS = tuple(
 )
 # Squares of numbers with no prime factor below the trial limit are at least this.
 _TRIAL_LIMIT_SQUARED = TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT
+
+
+def _largest_power_within(p: int, bound: int) -> int:
+    """p^k for the largest k with p^k <= bound (p <= bound)."""
+    power = p
+    while power * p <= bound:
+        power *= p
+    return power
+
+
+# Exponent factor of the p-1 step: L = lcm(1..2000), the product over the
+# primes p <= 2000 of the largest power of p within 2000.
+_PM1_BOUND = 2000
+_PM1_L = math.prod(_largest_power_within(p, _PM1_BOUND) for p in _TRIAL_PRIMES if p <= _PM1_BOUND)
 
 # Polynomial increments for rho restarts; fixed so runs are reproducible.
 _RHO_INCREMENTS = (1, 3, 5, 7, 11, 13, 17, 19, 23, 29)
@@ -228,9 +254,12 @@ def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
     return None, used
 
 
-def factorize(n: int, cache: FactorCache | None = None) -> Factorization:
+def factorize(n: int, cache: FactorCache | None = None, *, rank: int | None = None) -> Factorization:
     """Factor a nonzero integer; Partial (composite cofactor) when the budget
-    runs out. The rho budget is the cache's, else DEFAULT_RHO_BUDGET."""
+    runs out. The budget is the cache's, else DEFAULT_RHO_BUDGET. ``rank``
+    is the rank-of-apparition hint of the p-1 step (module docstring); it
+    changes the speed only, since any nontrivial gcd is a valid split.
+    """
     if n == 0:
         raise ZeroInput("factorization input")
     if cache is not None:
@@ -250,6 +279,7 @@ def factorize(n: int, cache: FactorCache | None = None) -> Factorization:
                 factors[p] = factors.get(p, 0) + 1
                 m //= p
 
+    budget = DEFAULT_RHO_BUDGET if cache is None else cache.budget
     cofactor = 1
     pending = [m] if m > 1 else []
     while pending:
@@ -270,7 +300,18 @@ def factorize(n: int, cache: FactorCache | None = None) -> Factorization:
                 break
         if peeled:
             continue
-        divisor, _ = _brent_rho(c, DEFAULT_RHO_BUDGET if cache is None else cache.budget)
+        rho_budget = budget
+        if rank is not None:
+            # The gcd gathers every prime p of c with ord_p(2) | exponent, so
+            # no piece of c, split here or later by rho, splits by a second step.
+            exponent, rank = rank * _PM1_L, None
+            if exponent.bit_length() <= budget:
+                rho_budget -= exponent.bit_length()
+                divisor = math.gcd(pow(2, exponent, c) - 1, c)
+                if 1 < divisor < c:
+                    pending += [divisor, c // divisor]
+                    continue
+        divisor, _ = _brent_rho(c, rho_budget)
         if divisor is None:
             cofactor *= c
             continue

@@ -9,11 +9,17 @@ therefore rules the index out unconditionally.
 
 ``factor_term`` factors U_n by strong divisibility, gcd(U_m, U_n) =
 U_gcd(m,n): the primes of U_{n/l}, l a prime of n, are divided out first,
-so only the primitive part reaches ``factorize`` and its rho. A split that
-stops partial raises IncompleteFactorization naming the index there, and
-nowhere else. The report paths (``primitive_divisors``, and the
-``classify`` and ``abc-quality`` runners) factor their terms this way; the
-solver does not split. ``rank_of_apparition`` and the primitivity marks of
+so only the primitive part reaches ``factorize``. Each prime p of that
+part has rank of apparition n, so n | p - (delta/p): ``factorize`` gets
+``rank=n`` and tries one Pollard p-1 step of exponent n * lcm(1..2000)
+before its rho. The gcd gathers every such p with (delta/p) = 1 and
+(p - 1)/n dividing lcm(1..2000), and splits them off from the rest of the
+part whenever the part has primes of both kinds. A split that stops partial
+raises IncompleteFactorization naming the index there, and nowhere else.
+The report paths (``primitive_divisors``, and the ``classify`` and
+``abc-quality`` runners) factor their terms this way; the solver does not
+split, and factors whole terms with no rank hint, since their primes have
+many different ranks. ``rank_of_apparition`` and the primitivity marks of
 ``primitive_divisors`` share one descent through the law of apparition.
 """
 
@@ -107,30 +113,34 @@ def factor_term(params: LucasParams, n: int, cache: FactorCache | None = None) -
     cache (and its file) under U_n. A split that stops partial raises
     IncompleteFactorization naming its leftover composite and the index n.
     """
-    fac = _split(params, n, FactorCache() if cache is None else cache)
+    fac = _split(params, n, FactorCache() if cache is None else cache, {})
     if not fac.complete:
         raise IncompleteFactorization(fac.cofactor, index=n)
     return fac
 
 
-def _split(params: LucasParams, n: int, cache: FactorCache) -> Factorization:
+def _split(params: LucasParams, n: int, cache: FactorCache, done: dict[int, Factorization]) -> Factorization:
     """``factor_term`` without the completeness check: an incomplete U_{n/l}
-    contributes the primes it found, and its cofactor stays in the remainder."""
+    contributes the primes it found, and its cofactor stays in the remainder.
+    ``done`` holds the result of each index split so far in this call, so
+    each U_d is computed and split once however many indices divide down to d."""
+    if n in done:
+        return done[n]
     value = lucas_u(params, n)
-    hit = cache.get(value)
-    if hit is not None:
-        return hit
-    remainder = abs(value)
-    factors: dict[int, int] = {}
-    for l in _prime_divisors(n):
-        for p in _split(params, n // l, cache).factors:
-            while remainder % p == 0:
-                factors[p] = factors.get(p, 0) + 1
-                remainder //= p
-    rest = factorize(remainder, cache=cache)
-    factors.update(rest.factors)  # the remainder keeps no prime divided out above
-    fac = Factorization(1 if value > 0 else -1, dict(sorted(factors.items())), rest.cofactor)
-    cache.add(value, fac)
+    fac = cache.get(value)
+    if fac is None:
+        remainder = abs(value)
+        factors: dict[int, int] = {}
+        for l in _prime_divisors(n):
+            for p in _split(params, n // l, cache, done).factors:
+                while remainder % p == 0:
+                    factors[p] = factors.get(p, 0) + 1
+                    remainder //= p
+        rest = factorize(remainder, cache=cache, rank=n)
+        factors.update(rest.factors)  # the remainder keeps no prime divided out above
+        fac = Factorization(1 if value > 0 else -1, dict(sorted(factors.items())), rest.cofactor)
+        cache.add(value, fac)
+    done[n] = fac
     return fac
 
 

@@ -1,5 +1,6 @@
 """Factorization pipeline: trial division, Brent rho, power peeling, cache."""
 
+import math
 import random
 
 import pytest
@@ -136,6 +137,73 @@ def test_perfect_power_peeling():
     fac = factorize(p ** 3, FactorCache(budget=10))  # far too small for rho; peeling must act
     assert fac.complete
     assert fac.factors == {p: 3}
+
+
+def test_pm1_exponent_is_lcm_of_1_to_2000():
+    assert factoring._PM1_L == math.lcm(*range(1, 2001))
+
+
+def _recording_rho(monkeypatch):
+    """Patch _brent_rho to record the budget of every call; returns the list."""
+    budgets = []
+    real_rho = factoring._brent_rho
+
+    def recording_rho(c, budget):
+        budgets.append(budget)
+        return real_rho(c, budget)
+
+    monkeypatch.setattr(factoring, "_brent_rho", recording_rho)
+    return budgets
+
+
+def test_pm1_step_on_two_smooth_primes_falls_back_to_rho(monkeypatch):
+    # p - 1 and q - 1 both divide lcm(1..2000), so 2^L = 1 mod c and the gcd is c itself.
+    p, q = 1_000_033, 1_000_037
+    assert is_probable_prime(p) and is_probable_prime(q)
+    assert factoring._PM1_L % (p - 1) == 0 and factoring._PM1_L % (q - 1) == 0
+    budgets = _recording_rho(monkeypatch)
+    fac = factorize(p * q, FactorCache(budget=10 ** 5), rank=1)
+    assert fac.complete and fac.factors == {p: 1, q: 1}
+    assert budgets == [10 ** 5 - factoring._PM1_L.bit_length()]
+
+
+def test_pm1_step_cost_comes_out_of_the_rho_budget(monkeypatch):
+    # Safe primes p = 2p' + 1: ord_p(2) is p' or 2p', and the prime p' > 2000 divides no 7 * L, so the gcd is 1.
+    p, q = 1_000_000_007, 1_000_000_403
+    assert all(is_probable_prime(r) and is_probable_prime((r - 1) // 2) for r in (p, q))
+    cost = (7 * factoring._PM1_L).bit_length()
+    budgets = _recording_rho(monkeypatch)
+    for budget, rho_budget in ((cost + 5, 5), (cost, 0), (cost - 1, cost - 1)):
+        budgets.clear()
+        fac = factorize(p * q, FactorCache(budget=budget), rank=7)
+        assert budgets == [rho_budget], budget  # below the cost, the step is skipped
+        assert fac.value() == p * q
+
+
+def test_rank_hint_never_changes_a_complete_result():
+    rng = random.Random(0x9E1)
+    compared = 0
+    for _ in range(40):
+        rank = rng.randrange(2, 300)
+        n = rng.choice((1, -1))
+        for _ in range(rng.randrange(2, 4)):
+            if rng.random() < 0.5:
+                # rank | p - 1, as for a primitive prime of U_rank with (delta/p) = 1
+                p = rank * rng.getrandbits(rng.randrange(12, 24)) + 1
+                while not is_probable_prime(p):
+                    p += rank
+            else:
+                p = _next_prime(rng.getrandbits(rng.randrange(17, 31)))
+            n *= p
+        budget = rng.choice((3_000, 6_000, 30_000))
+        bare = factorize(n, FactorCache(budget=budget))
+        for hint in (rank, rng.randrange(2, 10 ** 6), 0):
+            hinted = factorize(n, FactorCache(budget=budget), rank=hint)
+            assert hinted.value() == n
+            if hinted.complete and bare.complete:
+                assert hinted == bare, (n, hint)
+                compared += 1
+    assert compared >= 60
 
 
 def test_budget_exhaustion_is_partial_not_wrong():

@@ -8,6 +8,7 @@ from lucasprod import (
     NotPrime,
     ProductEquation,
     enumerate_solutions,
+    factoring,
     factorize,
     lucas_range,
     obstruction_filter,
@@ -214,6 +215,23 @@ def test_split_completes_fibonacci_94(fib):
     fac = primitive.factor_term(fib, 94, cache=FactorCache(budget=100_000))
     assert fac.complete and fac.value() == value
     assert fac.factors == {lucas_u(fib, 47): 1, value // lucas_u(fib, 47): 1}
+
+
+def test_rank_hint_splits_deep_6_1_terms_without_rho(monkeypatch):
+    params = validate_params(6, 1)
+    rho_calls = []
+    real_rho = factoring._brent_rho
+
+    def recording_rho(c, budget):
+        rho_calls.append(c)
+        return real_rho(c, budget)
+
+    monkeypatch.setattr(factoring, "_brent_rho", recording_rho)
+    for n in (50, 53):
+        fac = primitive.factor_term(params, n, cache=FactorCache(budget=100_000))
+        assert rho_calls == [], n
+        assert fac == factorize(lucas_u(params, n), cache=FactorCache(budget=100_000)), n
+        rho_calls.clear()
 
 
 def test_is_primitive_iff_prime_divides_no_term_at_n_over_l(fib):
