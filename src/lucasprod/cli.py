@@ -3,8 +3,8 @@
 Every subcommand prints either a fixed-order text report or one JSON record
 ``{command, params: {p, q, a, k}, results: [...]}``; identical inputs give
 byte-identical output. Exit codes separate the outcomes: 0 success, 1 a
-mathematical rejection (including a --prime proved composite), 2 bad usage
-or an internal error, 3 factorization budget exhausted.
+mathematical rejection (including a --prime proved composite), 2 bad usage,
+an unusable --cache file or an internal error, 3 factorization budget exhausted.
 
 Each subparser binds its runner with ``set_defaults``. A runner reads the
 argparse namespace, the validated LucasParams and the run's FactorCache and
@@ -27,12 +27,12 @@ the records that factoring computed.
 
 classify, abc-quality and primitive factor each term U_n with
 ``primitive.factor_term``, which divides out the primes of every U_{n/l}
-(l a prime of n) before rho; the calls that follow then read U_n from the
-cache. A split that stops partial exits 3 in ``factor_term`` itself, naming
-its leftover composite and the index n, so the budget is spent on U_n once.
-Their file thus also receives the terms U_d, d | n, and each one's primitive
-part. classify reads the square class of U_n as its signed 2-free part.
-solve, admissible and verify factor whole terms.
+(l a prime of n) before rho; classify reads e, s and the square class off
+its result, the others read U_n back from the cache. A split that stops
+partial exits 3 in ``factor_term`` itself, naming its leftover composite and
+the index n, so the budget is spent on U_n once. Their file thus also
+receives the terms U_d, d | n, and each one's primitive part; primitive --a
+adds A, never p - (delta/p). solve, admissible and verify factor whole terms.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .errors import (
     VerificationError,
     ZeroInput,
 )
-from .factoring import DEFAULT_RHO_BUDGET, FactorCache, power_free_part
+from .factoring import DEFAULT_RHO_BUDGET, FactorCache
 from .lucas import LucasParams, lucas_range, lucas_u, validate_params
 from .primitive import factor_term, obstruction_filter, primitive_divisors, rank_of_apparition
 from .solver import (
@@ -110,13 +110,12 @@ def _run_seq(args: argparse.Namespace, params: LucasParams, cache: FactorCache |
 def _run_classify(args: argparse.Namespace, params: LucasParams, cache: FactorCache | None) -> _Output:
     if args.max_index < 1:
         raise ValueError(f"--max must be >= 1, got {args.max_index}")
-    terms = lucas_range(params, args.max_index)
     rows = []
     for n in range(1, args.max_index + 1):
-        factor_term(params, n, cache=cache)  # the split; the calls below read U_n from the cache
-        dec = power_free_part(terms[n], args.k, cache=cache)
-        cls = power_free_part(terms[n], 2, cache=cache).e  # the signed 2-free part
-        rows.append((n, *map(str, (terms[n], dec.e, dec.s, cls))))
+        fac = factor_term(params, n, cache=cache)
+        e, s = fac.power_free(args.k)
+        cls = fac.power_free(2)[0]  # the signed 2-free part
+        rows.append((n, *map(str, (fac.value(), e.value(), s.value(), cls.value()))))
     return (
         [dict(zip(("n", "value", "e", "s", "class"), row)) for row in rows],
         ["n value e s class", *(" ".join(map(str, row)) for row in rows)],
@@ -296,7 +295,7 @@ def main(argv: list[str] | None = None) -> int:
     except IncompleteFactorization as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
-    except LucasProdError as exc:
+    except (LucasProdError, OSError) as exc:  # OSError: an unusable --cache file, named in exc
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

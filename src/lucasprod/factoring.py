@@ -105,6 +105,15 @@ class Factorization:
     def copy(self) -> "Factorization":
         return Factorization(self.sign, dict(self.factors), self.cofactor)
 
+    def power_free(self, k: int) -> tuple["Factorization", "Factorization"]:
+        """Factorizations of e and s in N = e * s^k, as in ``power_free_part``; N complete."""
+        if k < 2:
+            raise ValueError(f"k must be >= 2, got {k}")
+        if not self.complete:
+            raise IncompleteFactorization(self.cofactor)
+        e = Factorization(self.sign, {p: exp % k for p, exp in self.factors.items() if exp % k})
+        return e, Factorization(1, {p: exp // k for p, exp in self.factors.items() if exp >= k})
+
 
 @dataclass(frozen=True)
 class PowerFreeDecomposition:
@@ -331,14 +340,8 @@ def power_free_part(n: int, k: int, cache: FactorCache | None = None) -> PowerFr
     in its memory (never in its file), so factoring them later costs nothing.
     """
     if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    fac = factorize(n, cache=cache)
-    if not fac.complete:
-        raise IncompleteFactorization(fac.cofactor)
-    e_factors = {p: exp % k for p, exp in fac.factors.items() if exp % k}
-    s_factors = {p: exp // k for p, exp in fac.factors.items() if exp >= k}
-    e_fac = Factorization(fac.sign, e_factors)
-    s_fac = Factorization(1, s_factors)
+        raise ValueError(f"k must be >= 2, got {k}")  # before any factoring
+    e_fac, s_fac = factorize(n, cache=cache).power_free(k)
     e, s = e_fac.value(), s_fac.value()
     if cache is not None:
         cache._remember(e, e_fac)

@@ -17,10 +17,9 @@ before its rho. The gcd gathers every such p with (delta/p) = 1 and
 part whenever the part has primes of both kinds. A split that stops partial
 raises IncompleteFactorization naming the index there, and nowhere else.
 The report paths (``primitive_divisors``, and the ``classify`` and
-``abc-quality`` runners) factor their terms this way; the solver does not
-split, and factors whole terms with no rank hint, since their primes have
-many different ranks. ``rank_of_apparition`` and the primitivity marks of
-``primitive_divisors`` share one descent through the law of apparition.
+``abc-quality`` runners) factor their terms this way; the solver does not.
+``rank_of_apparition`` (from p - (delta/p)), the primitivity marks and the
+filter's rank test (from n) share one descent through the law of apparition.
 """
 
 from __future__ import annotations
@@ -173,16 +172,15 @@ def obstruction_filter(
     U_n has a primitive prime divisor outside the coefficient of multiplicity
     one (such a multiplicity can never be a multiple of k >= 2). Admitting an
     index asserts nothing; the filter never claims primitive divisors exist.
+    The rank test (p | U_n, and the descent from n keeps n) runs first.
     """
     if n < 2:
         raise ValueError(f"index must be >= 2, got {n}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     support = factorize(a, cache=cache).support()
-    # Every rank is computed, so a prime of a whose rank fails raises even when
-    # another prime's rank is n.
-    ranks = {rank_of_apparition(params, p, cache=cache).z for p in support}
-    if n in ranks:
+    primes_of_n = _prime_divisors(n)
+    if any(lucas_u_mod(params, n, p) == 0 and _descend(params, p, n, primes_of_n) == n for p in support):
         return ObstructionVerdict(
             admissible=True,
             reason=f"index {n} is the rank of apparition of a prime dividing a={a}",

@@ -281,6 +281,22 @@ def test_malformed_indices_are_usage_errors(capsys, indices):
     assert err.startswith("parameter error: indices must be a")
 
 
+def test_classify_rejects_k_below_two(capsys):
+    code, out, err = run_cli(capsys, ["classify", *FIB, "--max", "5", "--k", "1"])
+    assert (code, out) == (2, "")
+    assert err == "parameter error: k must be >= 2, got 1\n"
+
+
+def test_unusable_cache_path_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    # A directory fails when the cache is read, a missing directory at the first append.
+    for path in (tmp_path, tmp_path / "missing" / "f.cache"):
+        code, out, err = run_cli(capsys, ["classify", *FIB, "--max", "5", "--cache", str(path)])
+        assert (code, out) == (2, ""), path
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(path) in err
+
+
 def test_unknown_subcommand_exits_two(capsys):
     assert main(["frobnicate", "--p", "1", "--q", "1"]) == 2
     capsys.readouterr()
@@ -292,15 +308,15 @@ def test_budget_exhaustion_names_the_composite(capsys):
     assert "budget exhausted" in err
     assert re.search(r"composite \d{8,}", err)
     # --budget reaches every subcommand that factors. Trial division leaves
-    # 167083904137 = 116849 * 1429913 of U_67 to rho, and 10000000002200000000057
-    # of p - (5/p) for the prime p = A of primitive --a (its rank of apparition).
+    # 167083904137 = 116849 * 1429913 of U_67 to rho, also when it is the A
+    # of primitive --a.
     u67 = "167083904137"
     for argv, composite in (
         (["classify", *FIB, "--max", "67"], u67),
         (["admissible", *FIB, "--a", "5", "--max", "67"], u67),
         (["solve", *FIB, "--a", "5", "--max", "67"], u67),
         (["verify", *FIB, "--a", "5", "--indices", "67"], u67),
-        (["primitive", *FIB, "--n", "10", "--a", "240000000052800000001369"], "10000000002200000000057"),
+        (["primitive", *FIB, "--n", "10", "--a", u67], u67),
         (["abc-quality", *FIB, "--from", "67", "--to", "67"], u67),
     ):
         code, out, err = run_cli(capsys, [*argv, "--budget", "100"])
@@ -363,6 +379,16 @@ def test_cache_flag_persists_factorizations(tmp_path, capsys, monkeypatch):
     assert path.read_text(encoding="ascii")
     second = run_cli(capsys, ["classify", *FIB, "--max", "15", "--cache", str(path)])
     assert second == first
+
+
+def test_obstruction_filter_factors_no_p_minus_symbol(tmp_path, capsys, monkeypatch):
+    # 13 - (5/13) = 14: the filter tests z(13) = 7 against n = 10 by descent from 10.
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    path = tmp_path / "filter.cache"
+    code, out, _ = run_cli(capsys, ["primitive", *FIB, "--n", "10", "--a", "13", "--cache", str(path)])
+    assert code == 0 and out.splitlines()[-1].startswith("verdict=excluded")
+    records = [int(line.split()[0]) for line in path.read_text(encoding="ascii").splitlines()]
+    assert 13 in records and 14 not in records
 
 
 def test_cache_env_var_is_honored(tmp_path, capsys, monkeypatch):

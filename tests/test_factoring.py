@@ -248,6 +248,28 @@ def test_power_free_part_known_values():
             power_free_part(10, bad_k)
 
 
+def test_power_free_part_rejects_bad_k_before_factoring(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorize called")
+
+    monkeypatch.setattr(factoring, "factorize", refuse)
+    path = tmp_path / "untouched.cache"
+    for bad_k in (1, 0, -2):
+        with pytest.raises(ValueError, match=f"k must be >= 2, got {bad_k}"):
+            power_free_part(2 ** 40 * 3, bad_k, cache=FactorCache(str(path)))
+    assert not path.exists()
+
+
+def test_power_free_split_of_a_factorization_matches_power_free_part():
+    for n in (144, 8, -18, 5, -(2 ** 7 * 3 ** 2 * 5 * 7 ** 4), 1, -1):
+        for k in (2, 3, 4):
+            e, s = factorize(n).power_free(k)
+            assert (e.value(), s.value()) == (power_free_part(n, k).e, power_free_part(n, k).s)
+            assert e.value() * s.value() ** k == n
+    with pytest.raises(ValueError, match="k must be >= 2, got 1"):
+        factorize(10).power_free(1)
+
+
 def test_cache_roundtrip(tmp_path):
     path = str(tmp_path / "factors.cache")
     cache = FactorCache(path)

@@ -6,6 +6,7 @@ from lucasprod import (
     FactorCache,
     NotFoundWithinBound,
     NotPrime,
+    ObstructionVerdict,
     ProductEquation,
     enumerate_solutions,
     factoring,
@@ -175,6 +176,28 @@ def test_obstruction_filter_known_cases(fib, pell, shared_cache):
     assert not verdict.admissible and verdict.prime == 5
     # U_7 = 169 = 13^2: the primitive prime has multiplicity two
     assert obstruction_filter(pell, 2, 7, cache=shared_cache).admissible
+
+
+def _verdict_from_ranks(params, a, n, cache):
+    """The filter's verdict from the full rank of each prime of a."""
+    support = factorize(a, cache=cache).support()
+    if n in {rank_of_apparition(params, p, cache=cache).z for p in support}:
+        return ObstructionVerdict(True, f"index {n} is the rank of apparition of a prime dividing a={a}")
+    for entry in primitive_divisors(params, n, cache=cache).entries:
+        if entry.primitive and entry.prime not in support and entry.multiplicity == 1:
+            reason = f"primitive prime {entry.prime} divides U_{n} to multiplicity 1 and does not divide a={a}"
+            return ObstructionVerdict(False, reason, entry.prime)
+    return ObstructionVerdict(True, f"no primitive prime of U_{n} outside a={a} has multiplicity 1")
+
+
+def test_obstruction_filter_matches_verdict_from_ranks(shared_cache):
+    coefficients = (1, -1, 2, -2, 3, -3, 5, -5, 6, 10, -10, 12, 13, -15, 30)
+    for p, q in BENCHMARK_CARDS:
+        params = validate_params(p, q)
+        for a in coefficients:
+            for n in range(2, 31):
+                want = _verdict_from_ranks(params, a, n, shared_cache)
+                assert obstruction_filter(params, a, n, cache=shared_cache) == want, (p, q, a, n)
 
 
 def test_obstruction_filter_validation(fib):

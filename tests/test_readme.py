@@ -1,10 +1,13 @@
-"""The README's library example runs and prints what its comments say."""
+"""The README's library example and command-line examples print what the
+README shows."""
 
 import inspect
 import re
+import shlex
 from pathlib import Path
 
 import lucasprod
+from lucasprod.cli import CACHE_ENV_VAR, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -31,3 +34,16 @@ def test_readme_library_example_and_exports():
     assert checked == 4
     for name in lucasprod.__all__:
         assert hasattr(lucasprod, name), name
+
+
+def test_readme_cli_examples(capsys, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Command line") : text.index("### JSON output")]
+    examples = re.findall(r"^\$ lucasprod (.+)\n((?:(?!```).+\n)*)", section, re.M)
+    assert [shlex.split(argv)[0] for argv, _ in examples] == [
+        "solve", "verify", "admissible", "primitive", "abc-quality"
+    ]
+    for argv, want in examples:
+        assert main(shlex.split(argv)) == 0, argv
+        assert capsys.readouterr().out == want, argv
