@@ -17,7 +17,8 @@ or 3 on stderr.
 
 Each run builds one FactorCache, its only factoring context: it carries the
 --budget and holds every factorization the run computes, so each integer is
-factored once per run. It is backed by the --cache file, else the file named
+factored once per run. A --k below 2 exits 2 before the cache is built, so it
+leaves no file behind. It is backed by the --cache file, else the file named
 by LUCAS_FACTOR_CACHE, else by nothing and dies with the run; seq and rank
 never load the file. A file record is checked when the run first reads it, so
 a corrupt record that the run reads exits 2 naming ``file:line``, and one it
@@ -32,7 +33,8 @@ its result, the others read U_n back from the cache. A split that stops
 partial exits 3 in ``factor_term`` itself, naming its leftover composite and
 the index n, so the budget is spent on U_n once. Their file thus also
 receives the terms U_d, d | n, and each one's primitive part; primitive --a
-adds A, never p - (delta/p). solve, admissible and verify factor whole terms.
+adds A, never p - (delta/p), and judges the obstruction filter from the prime
+table it prints. solve, admissible and verify factor whole terms.
 """
 
 from __future__ import annotations
@@ -154,7 +156,7 @@ def _run_primitive(args: argparse.Namespace, params: LucasParams, cache: FactorC
     report = primitive_divisors(params, args.n, cache=cache)
     verdict = None
     if args.a is not None:
-        verdict = obstruction_filter(params, args.a, args.n, k=args.k, cache=cache)
+        verdict = obstruction_filter(args.a, report, cache=cache)
     value = str(lucas_u(params, args.n))
     body = {
         "n": report.n,
@@ -254,6 +256,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(args: argparse.Namespace) -> int:
     """Run a parsed invocation and print its output; rejections exit 1 here."""
+    if args.k < 2:  # before the cache exists, so a bad --k writes no file
+        raise ValueError(f"k must be >= 2, got {args.k}")
     path = None
     # seq factors nothing and rank one number, so neither loads the file.
     if args.subcommand not in ("seq", "rank"):

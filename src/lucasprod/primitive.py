@@ -18,8 +18,9 @@ part whenever the part has primes of both kinds. A split that stops partial
 raises IncompleteFactorization naming the index there, and nowhere else.
 The report paths (``primitive_divisors``, and the ``classify`` and
 ``abc-quality`` runners) factor their terms this way; the solver does not.
-``rank_of_apparition`` (from p - (delta/p)), the primitivity marks and the
-filter's rank test (from n) share one descent through the law of apparition.
+``rank_of_apparition`` (from p - (delta/p)) and the primitivity marks (from
+n) share one descent through the law of apparition. ``obstruction_filter``
+judges a prime table already built, reading its rank test off those marks.
 """
 
 from __future__ import annotations
@@ -159,33 +160,25 @@ def primitive_divisors(params: LucasParams, n: int, cache: FactorCache | None = 
     return PrimitiveReport(n=n, entries=entries)
 
 
-def obstruction_filter(
-    params: LucasParams,
-    a: int,
-    n: int,
-    k: int = 2,
-    cache: FactorCache | None = None,
-) -> ObstructionVerdict:
-    """Unconditional exclusion test for an index in a coprime product solution.
+def obstruction_filter(a: int, report: PrimitiveReport, cache: FactorCache | None = None) -> ObstructionVerdict:
+    """Unconditional exclusion test for index ``report.n`` in a coprime product solution.
 
-    Excludes n when n is not the rank of any prime of the coefficient and
-    U_n has a primitive prime divisor outside the coefficient of multiplicity
-    one (such a multiplicity can never be a multiple of k >= 2). Admitting an
-    index asserts nothing; the filter never claims primitive divisors exist.
-    The rank test (p | U_n, and the descent from n keeps n) runs first.
+    ``report`` is the prime table of U_n from ``primitive_divisors``. n is
+    the rank of apparition of a prime p of the coefficient exactly when p is
+    a primitive prime of U_n, so such an entry admits n outright. Otherwise
+    a primitive prime outside the coefficient of multiplicity one excludes n:
+    a multiplicity of one is a multiple of no k >= 2. Admitting an index
+    asserts nothing; the filter never claims primitive divisors exist.
     """
+    n = report.n
     if n < 2:
         raise ValueError(f"index must be >= 2, got {n}")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
     support = factorize(a, cache=cache).support()
-    primes_of_n = _prime_divisors(n)
-    if any(lucas_u_mod(params, n, p) == 0 and _descend(params, p, n, primes_of_n) == n for p in support):
+    if any(entry.primitive and entry.prime in support for entry in report.entries):
         return ObstructionVerdict(
             admissible=True,
             reason=f"index {n} is the rank of apparition of a prime dividing a={a}",
         )
-    report = primitive_divisors(params, n, cache=cache)
     for entry in report.entries:
         if entry.primitive and entry.prime not in support and entry.multiplicity == 1:
             return ObstructionVerdict(

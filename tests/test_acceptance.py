@@ -27,6 +27,7 @@ from lucasprod import (
     lucas_u,
     make_binet_triple,
     obstruction_filter,
+    primitive_divisors,
     quality_report,
     rank_of_apparition,
     validate_params,
@@ -170,11 +171,11 @@ def test_c07_rank_of_apparition_agreement():
 def test_c08_obstruction_filter_soundness(shared_cache):
     with report(8, "filter excludes n=10 via primitive 11, admits {2,5,12}; no verified index is excluded"):
         params = validate_params(1, 1)
-        verdict = obstruction_filter(params, 5, 10, cache=shared_cache)
+        verdict = obstruction_filter(5, primitive_divisors(params, 10, cache=shared_cache), cache=shared_cache)
         assert not verdict.admissible
         assert verdict.prime == 11
         for n in (2, 5, 12):
-            assert obstruction_filter(params, 5, n, cache=shared_cache).admissible, n
+            assert obstruction_filter(5, primitive_divisors(params, n, cache=shared_cache), cache=shared_cache).admissible, n
         eq = ProductEquation(params=params, a=5, k=2, max_index=120, max_factors=3)
         adm = admissible_indices(eq, cache=shared_cache)
         assert adm.indices == (2, 5, 12)
@@ -183,7 +184,7 @@ def test_c08_obstruction_filter_soundness(shared_cache):
         assert used
         for n in used:
             assert n in adm
-            assert obstruction_filter(params, 5, n, cache=shared_cache).admissible, n
+            assert obstruction_filter(5, primitive_divisors(params, n, cache=shared_cache), cache=shared_cache).admissible, n
 
 
 def test_c09_height_lower_bound(shared_cache):

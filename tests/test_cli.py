@@ -287,6 +287,21 @@ def test_classify_rejects_k_below_two(capsys):
     assert err == "parameter error: k must be >= 2, got 1\n"
 
 
+def test_bad_k_is_rejected_before_the_cache_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    path = tmp_path / "f.cache"
+    for argv in (
+        ["classify", *FIB, "--max", "6"],
+        ["abc-quality", *FIB, "--from", "10", "--to", "12"],
+        ["primitive", *FIB, "--n", "10", "--a", "5"],
+        ["primitive", *FIB, "--n", "10"],
+    ):
+        code, out, err = run_cli(capsys, [*argv, "--k", "1", "--cache", str(path)])
+        assert (code, out) == (2, ""), argv
+        assert err == "parameter error: k must be >= 2, got 1\n", argv
+        assert not path.exists(), argv
+
+
 def test_unusable_cache_path_exits_two(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     # A directory fails when the cache is read, a missing directory at the first append.
@@ -381,8 +396,42 @@ def test_cache_flag_persists_factorizations(tmp_path, capsys, monkeypatch):
     assert second == first
 
 
+def test_primitive_builds_the_prime_table_once(capsys, monkeypatch):
+    """primitive --a judges the filter from the table it prints: one split of
+    U_60 and one primitivity descent for each of its 8 primes."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("primitive_divisors", "factor_term", "_descend"):
+        wrapper = counting(name, getattr(primitive, name))
+        monkeypatch.setattr(primitive, name, wrapper)
+        if hasattr(cli, name):
+            monkeypatch.setattr(cli, name, wrapper)
+    code, out, err = run_cli(capsys, ["primitive", *FIB, "--n", "60", "--a", "7"])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "U_60 = 1548008755920",
+        "prime=2 multiplicity=4 primitive=no",
+        "prime=3 multiplicity=2 primitive=no",
+        "prime=5 multiplicity=1 primitive=no",
+        "prime=11 multiplicity=1 primitive=no",
+        "prime=31 multiplicity=1 primitive=no",
+        "prime=41 multiplicity=1 primitive=no",
+        "prime=61 multiplicity=1 primitive=no",
+        "prime=2521 multiplicity=1 primitive=yes",
+        "verdict=excluded reason=primitive prime 2521 divides U_60 to multiplicity 1 and does not divide a=7",
+    ]
+    assert calls == {"primitive_divisors": 1, "factor_term": 1, "_descend": 8}
+
+
 def test_obstruction_filter_factors_no_p_minus_symbol(tmp_path, capsys, monkeypatch):
-    # 13 - (5/13) = 14: the filter tests z(13) = 7 against n = 10 by descent from 10.
+    # 13 - (5/13) = 14: z(13) = 7, so 13 is no primitive prime of U_10 and 14 is never factored.
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     path = tmp_path / "filter.cache"
     code, out, _ = run_cli(capsys, ["primitive", *FIB, "--n", "10", "--a", "13", "--cache", str(path)])

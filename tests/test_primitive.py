@@ -110,14 +110,19 @@ def test_lucas_u_mod_matches_exact_terms():
                 assert lucas_u_mod(params, n, m) == exact % m, (p, q, n, m)
 
 
+def _judge(params, a, n, cache=None):
+    """The filter's verdict on n, judged from the prime table of U_n."""
+    return obstruction_filter(a, primitive_divisors(params, n, cache=cache), cache=cache)
+
+
 def test_obstruction_filter_admits_ranks_of_the_coefficient(fib):
     # z(2) = 3 and z(5) = 5 for Fibonacci, so a = 10 admits both outright.
     for n in (3, 5):
-        assert "rank" in obstruction_filter(fib, 10, n).reason
+        assert "rank" in _judge(fib, 10, n).reason
     # a = +-1 has no primes, so no index is a rank of one of them.
     for a in (1, -1):
         for n in range(2, 31):
-            assert "rank" not in obstruction_filter(fib, a, n).reason
+            assert "rank" not in _judge(fib, a, n).reason
 
 
 def test_primitive_marks_match_first_occurrence(fib, pell, shared_cache):
@@ -166,16 +171,16 @@ def test_fibonacci_zsigmondy_exceptions(fib, shared_cache):
 
 
 def test_obstruction_filter_known_cases(fib, pell, shared_cache):
-    verdict = obstruction_filter(fib, 5, 10, cache=shared_cache)
+    verdict = _judge(fib, 5, 10, cache=shared_cache)
     assert not verdict.admissible and verdict.prime == 11
     for n in (2, 5, 12):
-        assert obstruction_filter(fib, 5, n, cache=shared_cache).admissible
+        assert _judge(fib, 5, n, cache=shared_cache).admissible
     # rank membership admits outright: z(5) = 5
-    assert "rank" in obstruction_filter(fib, 5, 5, cache=shared_cache).reason
-    verdict = obstruction_filter(pell, 2, 3, cache=shared_cache)
+    assert "rank" in _judge(fib, 5, 5, cache=shared_cache).reason
+    verdict = _judge(pell, 2, 3, cache=shared_cache)
     assert not verdict.admissible and verdict.prime == 5
     # U_7 = 169 = 13^2: the primitive prime has multiplicity two
-    assert obstruction_filter(pell, 2, 7, cache=shared_cache).admissible
+    assert _judge(pell, 2, 7, cache=shared_cache).admissible
 
 
 def _verdict_from_ranks(params, a, n, cache):
@@ -197,14 +202,12 @@ def test_obstruction_filter_matches_verdict_from_ranks(shared_cache):
         for a in coefficients:
             for n in range(2, 31):
                 want = _verdict_from_ranks(params, a, n, shared_cache)
-                assert obstruction_filter(params, a, n, cache=shared_cache) == want, (p, q, a, n)
+                assert _judge(params, a, n, cache=shared_cache) == want, (p, q, a, n)
 
 
 def test_obstruction_filter_validation(fib):
-    with pytest.raises(ValueError):
-        obstruction_filter(fib, 5, 1)
-    with pytest.raises(ValueError):
-        obstruction_filter(fib, 5, 10, k=1)
+    with pytest.raises(ValueError, match="index must be >= 2, got 1"):
+        _judge(fib, 5, 1)
 
 
 def test_solver_indices_pass_filter(fib, pell, shared_cache):
@@ -213,7 +216,7 @@ def test_solver_indices_pass_filter(fib, pell, shared_cache):
         eq = ProductEquation(params=params, a=a, k=2, max_index=40, max_factors=3)
         for cert in enumerate_solutions(eq, cache=shared_cache):
             for n in cert.indices:
-                assert obstruction_filter(params, a, n, cache=shared_cache).admissible
+                assert _judge(params, a, n, cache=shared_cache).admissible
 
 
 # First index whose U_n does not factor at a rho budget of 10^5 (bench/meta.json).
