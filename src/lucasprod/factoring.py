@@ -137,6 +137,8 @@ class FactorCache:
     """
 
     def __init__(self, path: str | None = None, budget: int = DEFAULT_RHO_BUDGET):
+        if budget < 0:  # before the file is read; 0 leaves trial division only
+            raise ValueError(f"budget must be >= 0, got {budget}")
         self.path = path
         self.budget = budget
         # N -> its Factorization, or (line number, line) of a file record not read yet.

@@ -18,16 +18,17 @@ part whenever the part has primes of both kinds. A split that stops partial
 raises IncompleteFactorization naming the index there, and nowhere else.
 The report paths (``primitive_divisors``, and the ``classify`` and
 ``abc-quality`` runners) factor their terms this way; the solver does not.
-``rank_of_apparition`` (from p - (delta/p)) and the primitivity marks (from
-n) share one descent through the law of apparition. ``obstruction_filter``
-judges a prime table already built, reading its rank test off those marks.
+By strong divisibility again, a prime of U_n is primitive iff it divides no
+U_{n/l}; ``rank_of_apparition`` descends from p - (delta/p), and
+``obstruction_filter`` judges a prime table already built from its marks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import IncompleteFactorization, NotFoundWithinBound, NotPrime
+from .errors import IncompleteFactorization, NotFoundWithinBound, NotPrime, ZeroInput
 from .factoring import FactorCache, Factorization, factorize
 from .intmath import is_probable_prime, kronecker_at_prime
 from .lucas import LucasParams, lucas_u, lucas_u_mod
@@ -77,17 +78,11 @@ def rank_of_apparition(params: LucasParams, p: int, cache: FactorCache | None = 
     fac = factorize(m, cache=cache)
     if not fac.complete:
         raise IncompleteFactorization(fac.cofactor)
-    return RankOfApparition(p=p, z=_descend(params, p, m, fac.factors))
-
-
-def _descend(params: LucasParams, p: int, z: int, primes) -> int:
-    """z(p), given p | U_z and the distinct primes of z: as p | U_n iff
-    z(p) | n, each prime l is divided out of z while p still divides U_{z/l}.
-    """
-    for l in primes:
+    z = m
+    for l in fac.factors:
         while z % l == 0 and lucas_u_mod(params, z // l, p) == 0:
             z //= l
-    return z
+    return RankOfApparition(p=p, z=z)
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -147,40 +142,42 @@ def _split(params: LucasParams, n: int, cache: FactorCache, done: dict[int, Fact
 def primitive_divisors(params: LucasParams, n: int, cache: FactorCache | None = None) -> PrimitiveReport:
     """All prime divisors of U_n with multiplicities and primitivity marks.
 
-    p is primitive iff its rank of apparition is n itself.
+    p is primitive (of rank n) iff it divides no U_{n/l}, l a prime of n.
     """
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
     fac = factor_term(params, n, cache=cache)
-    primes_of_n = _prime_divisors(n)
+    inherited = math.prod(lucas_u(params, n // l) for l in _prime_divisors(n))
     entries = tuple(
-        PrimitiveEntry(prime=p, multiplicity=e, primitive=_descend(params, p, n, primes_of_n) == n)
+        PrimitiveEntry(prime=p, multiplicity=e, primitive=inherited % p != 0)
         for p, e in sorted(fac.factors.items())
     )
     return PrimitiveReport(n=n, entries=entries)
 
 
-def obstruction_filter(a: int, report: PrimitiveReport, cache: FactorCache | None = None) -> ObstructionVerdict:
+def obstruction_filter(a: int, report: PrimitiveReport) -> ObstructionVerdict:
     """Unconditional exclusion test for index ``report.n`` in a coprime product solution.
 
     ``report`` is the prime table of U_n from ``primitive_divisors``. n is
     the rank of apparition of a prime p of the coefficient exactly when p is
     a primitive prime of U_n, so such an entry admits n outright. Otherwise
     a primitive prime outside the coefficient of multiplicity one excludes n:
-    a multiplicity of one is a multiple of no k >= 2. Admitting an index
-    asserts nothing; the filter never claims primitive divisors exist.
+    a multiplicity of one is a multiple of no k >= 2. A is never factored:
+    p divides it iff ``a % p == 0``. Admitting an index asserts nothing; the
+    filter never claims primitive divisors exist.
     """
     n = report.n
     if n < 2:
         raise ValueError(f"index must be >= 2, got {n}")
-    support = factorize(a, cache=cache).support()
-    if any(entry.primitive and entry.prime in support for entry in report.entries):
+    if a == 0:
+        raise ZeroInput("coefficient a")
+    if any(entry.primitive and a % entry.prime == 0 for entry in report.entries):
         return ObstructionVerdict(
             admissible=True,
             reason=f"index {n} is the rank of apparition of a prime dividing a={a}",
         )
     for entry in report.entries:
-        if entry.primitive and entry.prime not in support and entry.multiplicity == 1:
+        if entry.primitive and a % entry.prime != 0 and entry.multiplicity == 1:
             return ObstructionVerdict(
                 admissible=False,
                 reason=(

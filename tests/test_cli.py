@@ -287,6 +287,34 @@ def test_classify_rejects_k_below_two(capsys):
     assert err == "parameter error: k must be >= 2, got 1\n"
 
 
+def test_bad_q_is_rejected_before_the_cache_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    bad = tmp_path / "bad.cache"
+    bad.write_text("x 1 2^1\n", encoding="ascii")
+    for path in (bad, tmp_path):  # a malformed record, then a directory
+        argv = ["classify", "--p", "1", "--q", "2", "--max", "5", "--cache", str(path)]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), path
+        assert err == "parameter error: q must be +1 or -1, got 2\n", path
+
+
+def test_negative_budget_is_rejected(capsys):
+    with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+        FactorCache(budget=-1)
+    for argv in (
+        ["classify", *FIB, "--max", "20"],
+        ["rank", *FIB, "--prime", "1000003"],
+        ["primitive", *FIB, "--n", "67", "--a", "5"],
+    ):
+        code, out, err = run_cli(capsys, [*argv, "--budget", "-1"])
+        assert (code, out) == (2, ""), argv
+        assert err == "parameter error: budget must be >= 0, got -1\n", argv
+    # A budget of 0 leaves trial division, which splits every U_n up to 20.
+    assert run_cli(capsys, ["classify", *FIB, "--max", "20", "--budget", "0"]) == run_cli(
+        capsys, ["classify", *FIB, "--max", "20"]
+    )
+
+
 def test_bad_k_is_rejected_before_the_cache_file(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     path = tmp_path / "f.cache"
@@ -323,20 +351,34 @@ def test_budget_exhaustion_names_the_composite(capsys):
     assert "budget exhausted" in err
     assert re.search(r"composite \d{8,}", err)
     # --budget reaches every subcommand that factors. Trial division leaves
-    # 167083904137 = 116849 * 1429913 of U_67 to rho, also when it is the A
-    # of primitive --a.
+    # 167083904137 = 116849 * 1429913 of U_67 to rho.
     u67 = "167083904137"
     for argv, composite in (
         (["classify", *FIB, "--max", "67"], u67),
         (["admissible", *FIB, "--a", "5", "--max", "67"], u67),
         (["solve", *FIB, "--a", "5", "--max", "67"], u67),
         (["verify", *FIB, "--a", "5", "--indices", "67"], u67),
-        (["primitive", *FIB, "--n", "10", "--a", u67], u67),
+        (["primitive", *FIB, "--n", "67", "--a", "5"], u67),
         (["abc-quality", *FIB, "--from", "67", "--to", "67"], u67),
     ):
         code, out, err = run_cli(capsys, [*argv, "--budget", "100"])
         assert (code, out) == (3, ""), argv
         assert f"budget exhausted at composite {composite}" in err, argv
+
+
+def test_primitive_never_factors_the_coefficient(capsys):
+    # A = U_67 needs rho, but the filter only divides A by the primes of U_10.
+    argv = ["primitive", *FIB, "--n", "10", "--a", "167083904137"]
+    code, out, err = run_cli(capsys, [*argv, "--budget", "100"])
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, argv) == (0, out, "")
+    assert out.splitlines()[-1].startswith("verdict=excluded reason=primitive prime 11")
+
+
+def test_primitive_rejects_zero_coefficient(capsys):
+    code, out, err = run_cli(capsys, ["primitive", *FIB, "--n", "10", "--a", "0"])
+    assert (code, out) == (2, "")
+    assert err == "parameter error: coefficient a must be nonzero\n"
 
 
 def test_primitive_report_and_verdict(capsys):
@@ -398,8 +440,9 @@ def test_cache_flag_persists_factorizations(tmp_path, capsys, monkeypatch):
 
 def test_primitive_builds_the_prime_table_once(capsys, monkeypatch):
     """primitive --a judges the filter from the table it prints: one split of
-    U_60 and one primitivity descent for each of its 8 primes."""
+    U_60, no residue of a Lucas term and no factorization of A."""
     calls = Counter()
+    factored = []
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -408,11 +451,19 @@ def test_primitive_builds_the_prime_table_once(capsys, monkeypatch):
 
         return wrapper
 
-    for name in ("primitive_divisors", "factor_term", "_descend"):
+    for name in ("primitive_divisors", "factor_term", "lucas_u_mod"):
         wrapper = counting(name, getattr(primitive, name))
         monkeypatch.setattr(primitive, name, wrapper)
         if hasattr(cli, name):
             monkeypatch.setattr(cli, name, wrapper)
+    real_factorize = factoring.factorize
+
+    def recording_factorize(n, *args, **kwargs):
+        factored.append(n)
+        return real_factorize(n, *args, **kwargs)
+
+    for module in (primitive, factoring):
+        monkeypatch.setattr(module, "factorize", recording_factorize)
     code, out, err = run_cli(capsys, ["primitive", *FIB, "--n", "60", "--a", "7"])
     assert (code, err) == (0, "")
     assert out.splitlines() == [
@@ -427,17 +478,19 @@ def test_primitive_builds_the_prime_table_once(capsys, monkeypatch):
         "prime=2521 multiplicity=1 primitive=yes",
         "verdict=excluded reason=primitive prime 2521 divides U_60 to multiplicity 1 and does not divide a=7",
     ]
-    assert calls == {"primitive_divisors": 1, "factor_term": 1, "_descend": 8}
+    assert calls == {"primitive_divisors": 1, "factor_term": 1}
+    assert calls["lucas_u_mod"] == 0
+    assert factored and 7 not in factored
 
 
 def test_obstruction_filter_factors_no_p_minus_symbol(tmp_path, capsys, monkeypatch):
-    # 13 - (5/13) = 14: z(13) = 7, so 13 is no primitive prime of U_10 and 14 is never factored.
+    # 13 - (5/13) = 14: z(13) = 7. The filter factors neither A = 13 nor 14.
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     path = tmp_path / "filter.cache"
     code, out, _ = run_cli(capsys, ["primitive", *FIB, "--n", "10", "--a", "13", "--cache", str(path)])
     assert code == 0 and out.splitlines()[-1].startswith("verdict=excluded")
     records = [int(line.split()[0]) for line in path.read_text(encoding="ascii").splitlines()]
-    assert 13 in records and 14 not in records
+    assert 13 not in records and 14 not in records
 
 
 def test_cache_env_var_is_honored(tmp_path, capsys, monkeypatch):

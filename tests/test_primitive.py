@@ -112,7 +112,7 @@ def test_lucas_u_mod_matches_exact_terms():
 
 def _judge(params, a, n, cache=None):
     """The filter's verdict on n, judged from the prime table of U_n."""
-    return obstruction_filter(a, primitive_divisors(params, n, cache=cache), cache=cache)
+    return obstruction_filter(a, primitive_divisors(params, n, cache=cache))
 
 
 def test_obstruction_filter_admits_ranks_of_the_coefficient(fib):
@@ -125,9 +125,10 @@ def test_obstruction_filter_admits_ranks_of_the_coefficient(fib):
             assert "rank" not in _judge(fib, a, n).reason
 
 
-def test_primitive_marks_match_first_occurrence(fib, pell, shared_cache):
-    for params in (fib, pell):
-        for n in range(1, 81):
+def test_primitive_marks_match_first_occurrence(shared_cache):
+    for (p, q), top in zip(BENCHMARK_CARDS, (80, 80, 40, 40, 40, 40)):
+        params = validate_params(p, q)
+        for n in range(1, top + 1):
             report = primitive_divisors(params, n, cache=shared_cache)
             value = abs(
                 lucas_range(params, n)[n]
@@ -143,7 +144,7 @@ def test_primitive_marks_match_first_occurrence(fib, pell, shared_cache):
                         first = m
                         break
                     u_prev, u = u, (params.p * u + params.q * u_prev) % entry.prime
-                assert entry.primitive == (first == n)
+                assert entry.primitive == (first == n), (p, q, n, entry.prime)
             assert rebuilt == value
 
 
@@ -264,6 +265,9 @@ def test_is_primitive_iff_prime_divides_no_term_at_n_over_l(fib):
     values = lucas_range(fib, 90)
     for n in range(1, 91):
         maximal = [n // l for l in primes_below(n + 1) if n % l == 0]
-        for p in factorize(values[n]).factors:
+        entries = primitive_divisors(fib, n).entries
+        assert [entry.prime for entry in entries] == sorted(factorize(values[n]).factors), n
+        for entry in entries:
+            p = entry.prime
             expected = all(values[m] % p for m in maximal)
-            assert (primitive._descend(fib, p, n, primitive._prime_divisors(n)) == n) == expected, (n, p)
+            assert entry.primitive == expected, (n, p)
