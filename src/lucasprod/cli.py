@@ -17,14 +17,14 @@ or 3 on stderr.
 
 Each run builds one FactorCache, its only factoring context: it carries the
 --budget and holds every factorization the run computes, so each integer is
-factored once per run. A --k below 2, a bad --p or --q and a negative --budget
-exit 2 before the cache file is read or written. It is backed by the --cache
-file, else the file named by LUCAS_FACTOR_CACHE, else by nothing; seq and rank
-never load the file. A file record is checked when the run first reads it, so
-a corrupt record that the run reads exits 2 naming ``file:line``, and one it
-never reads is neither checked nor reported. The k-free parts and roots
-derived from a factorization are held in memory only; the file receives only
-the records that factoring computed.
+factored once per run. A --k below 2, an --a of 0, a bad --p or --q and a
+negative --budget exit 2 before the cache file is read or written. It is
+backed by the --cache file, else the file named by LUCAS_FACTOR_CACHE, else
+by nothing; seq and rank never load the file. A file record is checked when
+the run first reads it, so a corrupt record that the run reads exits 2 naming
+``file:line``, and one it never reads is neither checked nor reported. The
+k-free parts and roots derived from a factorization are held in memory only;
+the file receives only the records that factoring computed.
 
 classify, abc-quality and primitive factor each term U_n with
 ``primitive.factor_term``, which divides out the primes of every U_{n/l}
@@ -256,8 +256,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(args: argparse.Namespace) -> int:
     """Run a parsed invocation and print its output; rejections exit 1 here."""
-    if args.k < 2:  # before the cache exists, so a bad --k writes no file
+    # Before the cache exists, so a bad --k or --a 0 writes no file.
+    if args.k < 2:
         raise ValueError(f"k must be >= 2, got {args.k}")
+    if args.a == 0:
+        raise ZeroInput("coefficient a")
     path = None
     # seq factors nothing and rank one number, so neither loads the file.
     if args.subcommand not in ("seq", "rank"):

@@ -1,11 +1,11 @@
 """Exact factorization of big integers, with budgeted rho and a line cache.
 
 Pipeline: trial division up to 10^5 (each chunk of primes screened by one
-gcd), perfect-power peeling, Miller-Rabin (deterministic below ~3.3e24, 40
-fixed rounds above), then Brent's variant of Pollard rho with deterministic
-restarts. The budget is counted per composite, in rho iterations plus the
-cost of the p-1 step below; when it runs out the result is Partial and
-callers that need completeness get a typed IncompleteFactorization.
+gcd), perfect-power peeling, a primality test (Miller-Rabin, deterministic
+below ~3.3e24, and Baillie-PSW above), then Brent's variant of Pollard rho
+with deterministic restarts. The budget is counted per composite, in rho
+iterations plus the cost of the p-1 step below; when it runs out the result
+is Partial, and callers that need completeness get IncompleteFactorization.
 
 Given ``rank=n``, a hint that every prime p of the input has rank of
 apparition n in a Lucas sequence (``primitive.factor_term`` gives it for the

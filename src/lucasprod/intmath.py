@@ -1,4 +1,4 @@
-"""Exact integer primitives: sieve, primality, integer roots, Kronecker symbol.
+"""Exact integer primitives: sieve, primality, integer roots, Jacobi symbol.
 
 Everything here is deterministic; repeated runs give identical answers, which
 the golden-output tests rely on.
@@ -8,11 +8,12 @@ from __future__ import annotations
 
 from math import isqrt
 
-# Deterministic Miller-Rabin bases. The first set is a proven witness set for
-# every n < 3.3 * 10^24 (covers all 64-bit inputs); above that we fall back to
-# the first 40 primes, i.e. a 40-round strong probable-prime test with fixed
-# witnesses.
-_MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+from .lucas import _doubling_pair, validate_params
+
+# The first 13 primes are a proven Miller-Rabin witness set for every n below
+# psi_13 ~ 3.3 * 10^24 (Sorenson-Webster, Math. Comp. 86 (2017)), which
+# covers all 64-bit inputs. Above that is_probable_prime runs Baillie-PSW.
+_MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
@@ -35,19 +36,11 @@ def primes_below(limit: int) -> list[int]:
     return [i for i in range(len(sieve)) if sieve[i]]
 
 
-_MR_LARGE_BASES = tuple(primes_below(174))  # first 40 primes: 2 .. 173
-assert len(_MR_LARGE_BASES) == 40
-
-
 def _strong_probable_prime(n: int, base: int) -> bool:
     if base % n == 0:
         return True
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    x = pow(base, d, n)
+    r = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(base, (n - 1) >> r, n)
     if x == 1 or x == n - 1:
         return True
     for _ in range(r - 1):
@@ -57,15 +50,50 @@ def _strong_probable_prime(n: int, base: int) -> bool:
     return False
 
 
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Extra strong Lucas test of odd n > 3 (Baillie-Wagstaff, Math. Comp. 35 (1980)).
+
+    It runs on U(P, -1) in this library's convention (standard Q = 1) for the
+    first P = 3, 4, ... whose delta = P^2 - 4 has Jacobi symbol -1 mod n; a
+    square n has none and is rejected first. With n + 1 = d * 2^s, d odd, n
+    passes when U_d = 0 and V_d = +-2, or V_{d * 2^r} = 0 for some r < s - 1
+    (mod n), where V_d = 2*U_{d+1} - P*U_d and V_{2m} = V_m^2 - 2.
+    """
+    if is_perfect_square(n):
+        return False
+    p = 3
+    while (symbol := jacobi(p * p - 4, n)) == 1:
+        p += 1
+    if symbol == 0:  # 1 < gcd(p^2 - 4, n) and p^2 - 4 < n, so n is composite
+        return False
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    d = (n + 1) >> s
+    u, u_next = _doubling_pair(validate_params(p, -1), d, n)
+    v = (2 * u_next - p * u) % n
+    if u == 0 and v in (2, n - 2):
+        return True
+    for _ in range(s - 1):
+        if v == 0:
+            return True
+        v = (v * v - 2) % n
+    return False
+
+
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin primality test; deterministic for n below ~3.3e24."""
+    """Primality test, proven below ~3.3e24 and Baillie-PSW above.
+
+    Below the limit it is Miller-Rabin to the first 13 prime bases; above it,
+    a strong test to base 2 and the extra strong Lucas test, which no known
+    composite passes together.
+    """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES_64:
         if n % p == 0:
             return n == p
-    bases = _MR_BASES_64 if n < _MR_DETERMINISTIC_LIMIT else _MR_LARGE_BASES
-    return all(_strong_probable_prime(n, b) for b in bases)
+    if n < _MR_DETERMINISTIC_LIMIT:
+        return all(_strong_probable_prime(n, b) for b in _MR_BASES_64)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
 
 
 def integer_kth_root(n: int, k: int) -> int:
@@ -110,14 +138,27 @@ def perfect_kth_power_root(n: int, k: int) -> int | None:
     return r if r ** k == n else None
 
 
+def jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0: +1, -1, or 0 when gcd(a, n) > 1."""
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"Jacobi symbol needs an odd positive modulus, got {n}")
+    a %= n
+    result = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos % 2 and n % 8 in (3, 5):
+            result = -result
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a, n = n % a, a
+    return result if n == 1 else 0
+
+
 def kronecker_at_prime(a: int, p: int) -> int:
     """Kronecker symbol (a/p) for prime p: +1, -1, or 0."""
     if p == 2:
         if a % 2 == 0:
             return 0
         return 1 if a % 8 in (1, 7) else -1
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
+    return jacobi(a, p)

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import BadQ, NonpositiveDiscriminant, SquareDiscriminant
-from .intmath import is_perfect_square
 
 #: Hard cap on indices, guarding against accidental huge-term blowups.
 DEFAULT_INDEX_CAP = 100_000
@@ -40,7 +39,7 @@ def validate_params(p: int, q: int) -> LucasParams:
     delta = p * p + 4 * q
     if delta <= 0:
         raise NonpositiveDiscriminant(delta)
-    if is_perfect_square(delta):
+    if math.isqrt(delta) ** 2 == delta:
         raise SquareDiscriminant(delta)
     root = math.sqrt(delta)
     alpha = (p + root) / 2.0

@@ -133,3 +133,35 @@ def rank_by_scan(p, q, prime):
             return n
         u_prev, u = u, (p * u + q * u_prev) % prime
     return None
+
+
+_FIRST_40_PRIMES = [d for d in range(2, 174) if all(d % e for e in range(2, d))]
+
+
+def miller_rabin_40(n):
+    """Strong probable-prime test to the first 40 prime bases, 2 .. 173."""
+    if n < 2:
+        return False
+    for base in _FIRST_40_PRIMES:
+        if n % base == 0:
+            return n == base
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for base in _FIRST_40_PRIMES:
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def legendre_by_euler(a, p):
+    """Legendre symbol (a/p) for an odd prime p by Euler's criterion."""
+    r = pow(a, (p - 1) // 2, p)
+    return 0 if r == 0 else 1 if r == 1 else -1

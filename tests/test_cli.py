@@ -178,6 +178,18 @@ def test_rank_rejects_composite(capsys):
     assert "parameter error" in err
 
 
+def test_strong_pseudoprime_to_twelve_bases_is_composite(capsys):
+    # psi_12 = 399165290221 * 798330580441 passes Miller-Rabin to the bases 2 .. 37.
+    psi12 = "318665857834031151167461"
+    assert run_cli(capsys, ["rank", *FIB, "--prime", psi12]) == (
+        2, "", f"parameter error: {psi12} is not prime\n"
+    )
+    code, out, _ = run_cli(capsys, ["verify", *FIB, "--a", psi12, "--k", "3", "--indices", "2"])
+    assert (code, out) == (
+        1, "rejected: product is not divisible by the coefficient: deficit at prime 399165290221\n"
+    )
+
+
 def test_rank_of_composite_is_not_found(capsys, monkeypatch):
     # 91 = 7 * 13 passes the primality gate here; the law of apparition still catches it.
     real = primitive.is_probable_prime
@@ -379,6 +391,24 @@ def test_primitive_rejects_zero_coefficient(capsys):
     code, out, err = run_cli(capsys, ["primitive", *FIB, "--n", "10", "--a", "0"])
     assert (code, out) == (2, "")
     assert err == "parameter error: coefficient a must be nonzero\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["primitive", "--n", "10"],
+        ["admissible", "--max", "10"],
+        ["solve", "--max", "10"],
+        ["verify", "--indices", "2"],
+    ],
+)
+def test_zero_coefficient_is_rejected_before_the_cache_file(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    path = tmp_path / "F"
+    code, out, err = run_cli(capsys, [*argv, *FIB, "--a", "0", "--cache", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "parameter error: coefficient a must be nonzero\n"
+    assert not path.exists()
 
 
 def test_primitive_report_and_verdict(capsys):
