@@ -29,9 +29,9 @@ the file receives only the records that factoring computed.
 classify, abc-quality and primitive factor each term U_n with
 ``primitive.factor_term``, which divides out the primes of every U_{n/l}
 (l a prime of n) before rho; classify reads e, s and the square class off
-its result, the others read U_n back from the cache. A split that stops
-partial exits 3 in ``factor_term`` itself, naming its leftover composite and
-the index n, so the budget is spent on U_n once. Their file thus also
+its result, the others read U_n back from the cache. The first U_d, d | n,
+whose primitive part stops partial exits 3 in ``factor_term``, naming d and
+its leftover composite, so rho meets that composite once. Their file also
 receives the terms U_d, d | n, and each one's primitive part; primitive --a
 adds no record for A and judges the obstruction filter from the prime table
 it prints. solve, admissible and verify factor whole terms.

@@ -53,8 +53,8 @@ class NotPrime(LucasProdError):
 class IncompleteFactorization(LucasProdError):
     """A factorization stopped with a composite cofactor.
 
-    ``cofactor`` is the stuck composite; ``index`` identifies the Lucas index
-    whose term was being factored, when known.
+    ``cofactor`` is the stuck composite; ``index``, when known, is the first
+    Lucas index d | n whose own primitive part stuck while U_n was factored.
     """
 
     def __init__(self, cofactor: int, index: int | None = None):

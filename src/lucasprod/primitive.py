@@ -14,13 +14,13 @@ part has rank of apparition n, so n | p - (delta/p): ``factorize`` gets
 ``rank=n`` and tries one Pollard p-1 step of exponent n * lcm(1..2000)
 before its rho. The gcd gathers every such p with (delta/p) = 1 and
 (p - 1)/n dividing lcm(1..2000), and splits them off from the rest of the
-part whenever the part has primes of both kinds. A split that stops partial
-raises IncompleteFactorization naming the index there, and nowhere else.
-The report paths (``primitive_divisors``, and the ``classify`` and
-``abc-quality`` runners) factor their terms this way; the solver does not.
-By strong divisibility again, a prime of U_n is primitive iff it divides no
-U_{n/l}; ``rank_of_apparition`` descends from p - (delta/p), and
-``obstruction_filter`` judges a prime table already built from its marks.
+part whenever the part has primes of both kinds. The first U_d, d | n,
+whose primitive part stops partial raises IncompleteFactorization naming d,
+and no leftover composite is carried up into U_n. The report paths
+(``primitive_divisors``, ``classify``, ``abc-quality``) split terms this
+way; the solver does not. By strong divisibility again, a prime of U_n is
+primitive iff it divides no U_{n/l}; ``rank_of_apparition`` descends from
+p - (delta/p), and ``obstruction_filter`` judges a built table by its marks.
 """
 
 from __future__ import annotations
@@ -105,37 +105,28 @@ def factor_term(params: LucasParams, n: int, cache: FactorCache | None = None) -
     some U_{n/l}, l a prime of n. Those terms are factored first, by recursion
     through the same cache, and their primes are divided out of U_n; the
     remainder is exactly the primitive part. The result is stored in the
-    cache (and its file) under U_n. A split that stops partial raises
-    IncompleteFactorization naming its leftover composite and the index n.
+    cache (and its file) under U_n, so each U_d is split once per cache. The
+    first term U_d, d | n, whose primitive part stops partial raises
+    IncompleteFactorization naming its leftover composite and the index d.
     """
-    fac = _split(params, n, FactorCache() if cache is None else cache, {})
-    if not fac.complete:
-        raise IncompleteFactorization(fac.cofactor, index=n)
-    return fac
-
-
-def _split(params: LucasParams, n: int, cache: FactorCache, done: dict[int, Factorization]) -> Factorization:
-    """``factor_term`` without the completeness check: an incomplete U_{n/l}
-    contributes the primes it found, and its cofactor stays in the remainder.
-    ``done`` holds the result of each index split so far in this call, so
-    each U_d is computed and split once however many indices divide down to d."""
-    if n in done:
-        return done[n]
+    cache = FactorCache() if cache is None else cache
     value = lucas_u(params, n)
     fac = cache.get(value)
-    if fac is None:
-        remainder = abs(value)
-        factors: dict[int, int] = {}
-        for l in _prime_divisors(n):
-            for p in _split(params, n // l, cache, done).factors:
-                while remainder % p == 0:
-                    factors[p] = factors.get(p, 0) + 1
-                    remainder //= p
-        rest = factorize(remainder, cache=cache, rank=n)
-        factors.update(rest.factors)  # the remainder keeps no prime divided out above
-        fac = Factorization(1 if value > 0 else -1, dict(sorted(factors.items())), rest.cofactor)
-        cache.add(value, fac)
-    done[n] = fac
+    if fac is not None:
+        return fac
+    remainder = abs(value)
+    factors: dict[int, int] = {}
+    for l in _prime_divisors(n):
+        for p in factor_term(params, n // l, cache).factors:
+            while remainder % p == 0:
+                factors[p] = factors.get(p, 0) + 1
+                remainder //= p
+    rest = factorize(remainder, cache=cache, rank=n)
+    if not rest.complete:
+        raise IncompleteFactorization(rest.cofactor, index=n)
+    factors.update(rest.factors)  # the remainder keeps no prime divided out above
+    fac = Factorization(1 if value > 0 else -1, dict(sorted(factors.items())))
+    cache.add(value, fac)
     return fac
 
 

@@ -190,10 +190,11 @@ def verify_solution(
         product_class = IDENTITY_CLASS
         for n in stripped:
             product_class = class_mul(product_class, class_of(term_values[n], cache=cache))
-        if product_class != class_of(eq.a, cache=cache):
+        a_class = class_of(eq.a, cache=cache)
+        if product_class != a_class:
             raise ClassMismatch(
                 f"product class {product_class.as_integer()} differs from the "
-                f"coefficient class {class_of(eq.a, cache=cache).as_integer()}"
+                f"coefficient class {a_class.as_integer()}"
             )
 
     product = 1

@@ -476,7 +476,8 @@ def test_primitive_builds_the_prime_table_once(capsys, monkeypatch):
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            if name != "factor_term" or args[1] == 60:  # not its recursion on U_60's sub-terms
+                calls[name] += 1
             return fn(*args, **kwargs)
 
         return wrapper
@@ -551,6 +552,19 @@ def test_console_script_smoke():
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["1 1", "2 1", "3 2", "4 3", "5 5"]
+
+
+def test_console_main_exits_with_the_code_of_main(capsys, monkeypatch):
+    """``console_main`` is the installed ``lucasprod`` script: it reads
+    sys.argv and turns main's return value into the process exit status."""
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    for q, status in (("1", 0), ("2", 2)):
+        monkeypatch.setattr(sys, "argv", ["lucasprod", "seq", "--p", "1", "--q", q, "--max", "5"])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.console_main()
+        assert exit_info.value.code == status
+        out = capsys.readouterr().out
+        assert out.splitlines() == (["1 1", "2 1", "3 2", "4 3", "5 5"] if status == 0 else [])
 
 
 def test_corrupt_cache_record_is_refused(tmp_path, capsys, monkeypatch):
@@ -632,7 +646,9 @@ def test_run_cache_factors_each_term_once(capsys, monkeypatch):
 
 def test_partial_split_exits_without_factoring_the_term_again(capsys, monkeypatch):
     """A report whose split of U_n stops partial exits 3 on it, instead of
-    spending the budget a second time on the whole term."""
+    spending the budget a second time on the whole term. When a sub-term
+    U_d, d | n, is the one stuck, the exit names d and rho never sees its
+    leftover composite again in a term above it."""
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     rho_work = []
     real_rho = factoring._brent_rho
@@ -643,12 +659,20 @@ def test_partial_split_exits_without_factoring_the_term_again(capsys, monkeypatc
         return divisor, used
 
     monkeypatch.setattr(factoring, "_brent_rho", recording_rho)
-    code, out, err = run_cli(capsys, ["abc-quality", *FIB, "--from", "139", "--to", "139", "--budget", "100000"])
-    assert (code, out) == (3, "")
-    assert len(rho_work) == 1 and rho_work[0] <= 100_000
-    composite = int(re.search(r"composite (\d+)", err).group(1))
-    assert composite > 1 and lucas_u(validate_params(1, 1), 139) % composite == 0
-    assert "at index 139" in err
+    cases = [
+        (["abc-quality", *FIB, "--from", "139", "--to", "139"], (1, 1), 139),
+        (["primitive", "--p", "3", "--q", "-1", "--n", "94"], (3, -1), 47),
+        (["primitive", *FIB, "--n", "278"], (1, 1), 139),
+        (["primitive", "--p", "2", "--q", "1", "--n", "142"], (2, 1), 71),
+    ]
+    for argv, card, index in cases:
+        rho_work.clear()
+        code, out, err = run_cli(capsys, [*argv, "--budget", "100000"])
+        assert (code, out) == (3, ""), argv
+        assert len(rho_work) == 1 and rho_work[0] <= 100_000, argv
+        composite = int(re.search(r"composite (\d+)", err).group(1))
+        assert composite > 1 and lucas_u(validate_params(*card), index) % composite == 0, argv
+        assert f"at index {index}\n" in err, argv
 
 
 def _without_primes_of(value: int, other: int) -> int:
