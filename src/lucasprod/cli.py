@@ -16,25 +16,27 @@ VerificationError or NotFoundWithinBound raised by any runner prints
 or 3 on stderr.
 
 Each run builds one FactorCache, its only factoring context: it carries the
---budget and holds every factorization the run computes, so each integer is
-factored once per run. A --k below 2, an --a of 0, a bad --p or --q and a
-negative --budget exit 2 before the cache file is read or written. It is
-backed by the --cache file, else the file named by LUCAS_FACTOR_CACHE, else
-by nothing; seq and rank never load the file. A file record is checked when
-the run first reads it, so a corrupt record that the run reads exits 2 naming
-``file:line``, and one it never reads is neither checked nor reported. The
-k-free parts and roots derived from a factorization are held in memory only;
-the file receives only the records that factoring computed.
+--budget, in rho iterations per composite, and holds every factorization the
+run computes, so each integer is factored once per run. A --k below 2, an
+--a of 0, a bad --p or --q and a negative --budget exit 2 before the cache
+file is read or written. It is backed by the --cache file, else the file
+named by LUCAS_FACTOR_CACHE, else by nothing; seq and rank never load the
+file. A file record is checked when the run first reads it, so a corrupt
+record that the run reads exits 2 naming ``file:line``, and one it never
+reads is neither checked nor reported. The k-free parts and roots derived
+from a factorization are held in memory only; the file receives only the
+records that factoring computed.
 
 classify, abc-quality and primitive factor each term U_n with
-``primitive.factor_term``, which divides out the primes of every U_{n/l}
-(l a prime of n) before rho; classify reads e, s and the square class off
-its result, the others read U_n back from the cache. The first U_d, d | n,
-whose primitive part stops partial exits 3 in ``factor_term``, naming d and
-its leftover composite, so rho meets that composite once. Their file also
-receives the terms U_d, d | n, and each one's primitive part; primitive --a
-adds no record for A and judges the obstruction filter from the prime table
-it prints. solve, admissible and verify factor whole terms.
+``primitive.factor_term``, which divides out the primes of every U_{n/l} (l
+a prime of n) before the p-1 step and rho; classify reads e, s and the
+square class off its result, the others read U_n back from the cache. The
+first U_d, d | n, whose primitive part stops partial exits 3 in
+``factor_term``, naming d and its leftover composite, so rho meets that
+composite once. Their file also receives the terms U_d, d | n, and each
+one's primitive part; primitive --a adds no record for A and judges the
+obstruction filter from the prime table it prints. solve, admissible and
+verify factor whole terms, through the same ``factorize``.
 """
 
 from __future__ import annotations
@@ -210,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--q", type=int, required=True, help="recurrence coefficient Q, +1 or -1")
         sp.add_argument("--json", action="store_true", dest="as_json", help="emit one JSON record")
         sp.add_argument("--cache", default=None, help="factor cache file (overrides LUCAS_FACTOR_CACHE)")
-        sp.add_argument("--budget", type=int, default=DEFAULT_RHO_BUDGET, help="budget per composite: rho iterations plus p-1 exponent bits")
+        sp.add_argument("--budget", type=int, default=DEFAULT_RHO_BUDGET, help="rho iterations per composite")
         # a and k are in every JSON record's params, also where no flag sets them.
         sp.set_defaults(runner=runner, a=None, k=2)
         return sp

@@ -1,23 +1,15 @@
 """Exact factorization of big integers, with budgeted rho and a line cache.
 
 Pipeline: trial division up to 10^5 (each chunk of primes screened by one
-gcd), perfect-power peeling, a primality test (Miller-Rabin, deterministic
-below ~3.3e24, and Baillie-PSW above), then Brent's variant of Pollard rho
-with deterministic restarts. The budget is counted per composite, in rho
-iterations plus the cost of the p-1 step below; when it runs out the result
-is Partial, and callers that need completeness get IncompleteFactorization.
-
-Given ``rank=n``, a hint that every prime p of the input has rank of
-apparition n in a Lucas sequence (``primitive.factor_term`` gives it for the
-primitive part of U_n), one Pollard p-1 step runs before rho: n divides
-p - (delta/p), so when (delta/p) = 1 and (p - 1)/n divides lcm(1..2000),
-2^(n * lcm(1..2000)) = 1 (mod p) and a gcd can split p off. The step's
-cost, the bit length of that exponent, comes out of the budget of the
-composite it runs on, and rho gets the rest; a budget below the cost skips
-the step. A wrong hint costs time and budget, never a wrong result. The solver
-factors whole terms, whose primes have many different ranks, so it has no
-rank to give and passes no hint: its composites get the whole budget for
-rho, and one that exhausts it is the composite plain rho leaves.
+gcd), a primality test (Miller-Rabin, deterministic below ~3.3e24, and
+Baillie-PSW above), perfect-power peeling, one Pollard p-1 step on the first
+composite left, then Brent's variant of Pollard rho with deterministic
+restarts on each composite still left. The step is one gcd,
+g = gcd(2^L - 1, c) with L = lcm(1..2000): g gathers every prime p of c whose
+order of 2 divides L, every p with p - 1 | L among them, and splits c unless
+it gathers all of its primes or none. The budget counts rho iterations per
+composite, not the step; when it runs out the result is Partial, and callers
+that need completeness get IncompleteFactorization.
 
 A FactorCache is the one factoring context of a run: it carries the rho
 budget and makes each distinct integer cost one factorization. Every function
@@ -68,7 +60,7 @@ def _largest_power_within(p: int, bound: int) -> int:
     return power
 
 
-# Exponent factor of the p-1 step: L = lcm(1..2000), the product over the
+# Exponent of the p-1 step: L = lcm(1..2000), the product over the
 # primes p <= 2000 of the largest power of p within 2000.
 _PM1_BOUND = 2000
 _PM1_L = math.prod(_largest_power_within(p, _PM1_BOUND) for p in _TRIAL_PRIMES if p <= _PM1_BOUND)
@@ -137,7 +129,7 @@ class FactorCache:
     """
 
     def __init__(self, path: str | None = None, budget: int = DEFAULT_RHO_BUDGET):
-        if budget < 0:  # before the file is read; 0 leaves trial division only
+        if budget < 0:  # before the file is read; 0 leaves all but rho
             raise ValueError(f"budget must be >= 0, got {budget}")
         self.path = path
         self.budget = budget
@@ -265,11 +257,9 @@ def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
     return None, used
 
 
-def factorize(n: int, cache: FactorCache | None = None, *, rank: int | None = None) -> Factorization:
+def factorize(n: int, cache: FactorCache | None = None) -> Factorization:
     """Factor a nonzero integer; Partial (composite cofactor) when the budget
-    runs out. The budget is the cache's, else DEFAULT_RHO_BUDGET. ``rank``
-    is the rank-of-apparition hint of the p-1 step (module docstring); it
-    changes the speed only, since any nontrivial gcd is a valid split.
+    runs out. The budget is the cache's, else DEFAULT_RHO_BUDGET.
     """
     if n == 0:
         raise ZeroInput("factorization input")
@@ -293,6 +283,7 @@ def factorize(n: int, cache: FactorCache | None = None, *, rank: int | None = No
     budget = DEFAULT_RHO_BUDGET if cache is None else cache.budget
     cofactor = 1
     pending = [m] if m > 1 else []
+    pm1_due = True
     while pending:
         c = pending.pop()
         if c < _TRIAL_LIMIT_SQUARED or is_probable_prime(c):
@@ -311,18 +302,15 @@ def factorize(n: int, cache: FactorCache | None = None, *, rank: int | None = No
                 break
         if peeled:
             continue
-        rho_budget = budget
-        if rank is not None:
-            # The gcd gathers every prime p of c with ord_p(2) | exponent, so
-            # no piece of c, split here or later by rho, splits by a second step.
-            exponent, rank = rank * _PM1_L, None
-            if exponent.bit_length() <= budget:
-                rho_budget -= exponent.bit_length()
-                divisor = math.gcd(pow(2, exponent, c) - 1, c)
-                if 1 < divisor < c:
-                    pending += [divisor, c // divisor]
-                    continue
-        divisor, _ = _brent_rho(c, rho_budget)
+        if pm1_due:
+            # The gcd gathers every prime p of c with ord_p(2) | L, so no piece
+            # of c, split here or later by rho, splits by a second step.
+            pm1_due = False
+            divisor = math.gcd(pow(2, _PM1_L, c) - 1, c)
+            if 1 < divisor < c:
+                pending += [divisor, c // divisor]
+                continue
+        divisor, _ = _brent_rho(c, budget)
         if divisor is None:
             cofactor *= c
             continue

@@ -30,12 +30,6 @@ def prime_sieve(limit: int) -> bytearray:
     return sieve
 
 
-def primes_below(limit: int) -> list[int]:
-    """All primes < limit."""
-    sieve = prime_sieve(limit)
-    return [i for i in range(len(sieve)) if sieve[i]]
-
-
 def _strong_probable_prime(n: int, base: int) -> bool:
     if base % n == 0:
         return True

@@ -9,18 +9,14 @@ therefore rules the index out unconditionally.
 
 ``factor_term`` factors U_n by strong divisibility, gcd(U_m, U_n) =
 U_gcd(m,n): the primes of U_{n/l}, l a prime of n, are divided out first,
-so only the primitive part reaches ``factorize``. Each prime p of that
-part has rank of apparition n, so n | p - (delta/p): ``factorize`` gets
-``rank=n`` and tries one Pollard p-1 step of exponent n * lcm(1..2000)
-before its rho. The gcd gathers every such p with (delta/p) = 1 and
-(p - 1)/n dividing lcm(1..2000), and splits them off from the rest of the
-part whenever the part has primes of both kinds. The first U_d, d | n,
-whose primitive part stops partial raises IncompleteFactorization naming d,
-and no leftover composite is carried up into U_n. The report paths
-(``primitive_divisors``, ``classify``, ``abc-quality``) split terms this
-way; the solver does not. By strong divisibility again, a prime of U_n is
-primitive iff it divides no U_{n/l}; ``rank_of_apparition`` descends from
-p - (delta/p), and ``obstruction_filter`` judges a built table by its marks.
+so only the primitive part reaches ``factorize`` (its p-1 step and rho). The
+first U_d, d | n, whose primitive part stops partial raises
+IncompleteFactorization naming d, and no leftover composite is carried up
+into U_n. The report paths (``primitive_divisors``, ``classify``,
+``abc-quality``) split terms this way; the solver does not. By strong
+divisibility again, a prime of U_n is primitive iff it divides no U_{n/l};
+``rank_of_apparition`` descends from p - (delta/p), and
+``obstruction_filter`` judges a built table by its marks.
 """
 
 from __future__ import annotations
@@ -121,7 +117,7 @@ def factor_term(params: LucasParams, n: int, cache: FactorCache | None = None) -
             while remainder % p == 0:
                 factors[p] = factors.get(p, 0) + 1
                 remainder //= p
-    rest = factorize(remainder, cache=cache, rank=n)
+    rest = factorize(remainder, cache=cache)
     if not rest.complete:
         raise IncompleteFactorization(rest.cofactor, index=n)
     factors.update(rest.factors)  # the remainder keeps no prime divided out above

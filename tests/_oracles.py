@@ -16,6 +16,16 @@ def lucas_values(p, q, n_max):
     return values[: n_max + 1]
 
 
+def primes_below(limit):
+    """All primes < limit, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * max(limit, 2)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(len(sieve) - 1) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(range(p * p, len(sieve), p)))
+    return [p for p in range(limit) if sieve[p]]
+
+
 def trial_factorize(n):
     """Unbounded trial division; fine for |n| up to ~10**12 in tests."""
     assert n != 0

@@ -34,9 +34,9 @@ from lucasprod import (
     verify_solution,
 )
 from lucasprod.cli import main as cli_main
-from lucasprod.intmath import is_perfect_square, primes_below
+from lucasprod.intmath import is_perfect_square
 
-from _oracles import brute_solutions, lucas_values, rank_by_bigint
+from _oracles import brute_solutions, lucas_values, primes_below, rank_by_bigint
 
 
 @contextlib.contextmanager

@@ -321,7 +321,7 @@ def test_negative_budget_is_rejected(capsys):
         code, out, err = run_cli(capsys, [*argv, "--budget", "-1"])
         assert (code, out) == (2, ""), argv
         assert err == "parameter error: budget must be >= 0, got -1\n", argv
-    # A budget of 0 leaves trial division, which splits every U_n up to 20.
+    # A budget of 0 leaves all but rho; trial division splits every U_n up to 20.
     assert run_cli(capsys, ["classify", *FIB, "--max", "20", "--budget", "0"]) == run_cli(
         capsys, ["classify", *FIB, "--max", "20"]
     )
@@ -358,29 +358,65 @@ def test_unknown_subcommand_exits_two(capsys):
 
 
 def test_budget_exhaustion_names_the_composite(capsys):
-    code, out, err = run_cli(capsys, ["classify", *FIB, "--max", "67", "--budget", "100"])
+    code, out, err = run_cli(capsys, ["classify", *FIB, "--max", "77", "--budget", "100"])
     assert code == 3
     assert "budget exhausted" in err
     assert re.search(r"composite \d{8,}", err)
     # --budget reaches every subcommand that factors. Trial division leaves
-    # 167083904137 = 116849 * 1429913 of U_67 to rho.
-    u67 = "167083904137"
+    # 4777821694801 = 988681 * 4832521 of U_77; both p - 1 divide
+    # lcm(1..2000), so the p-1 step gathers both primes at once and rho gets it.
+    u77 = "4777821694801"
     for argv, composite in (
-        (["classify", *FIB, "--max", "67"], u67),
-        (["admissible", *FIB, "--a", "5", "--max", "67"], u67),
-        (["solve", *FIB, "--a", "5", "--max", "67"], u67),
-        (["verify", *FIB, "--a", "5", "--indices", "67"], u67),
-        (["primitive", *FIB, "--n", "67", "--a", "5"], u67),
-        (["abc-quality", *FIB, "--from", "67", "--to", "67"], u67),
+        (["classify", *FIB, "--max", "77"], u77),
+        (["admissible", *FIB, "--a", "5", "--max", "77"], u77),
+        (["solve", *FIB, "--a", "5", "--max", "77"], u77),
+        (["verify", *FIB, "--a", "5", "--indices", "77"], u77),
+        (["primitive", *FIB, "--n", "77", "--a", "5"], u77),
+        (["abc-quality", *FIB, "--from", "77", "--to", "77"], u77),
     ):
         code, out, err = run_cli(capsys, [*argv, "--budget", "100"])
         assert (code, out) == (3, ""), argv
         assert f"budget exhausted at composite {composite}" in err, argv
 
 
+def test_pm1_step_runs_on_whole_terms_and_primitive_parts_alike(capsys):
+    # Trial division leaves 167083904137 = 116849 * 1429913 of U_67, and
+    # 116849 - 1 = 2^4 * 67 * 109 divides lcm(1..2000) while 1429913 - 1 =
+    # 2^3 * 11 * 16249 does not: the step splits it, with or without the split
+    # of U_67, so every command completes where rho alone runs out of budget.
+    u67 = lucas_u(validate_params(1, 1), 67)
+    assert u67 == 269 * 116849 * 1429913
+    assert factoring._PM1_L % 116848 == 0 and factoring._PM1_L % 1429912 != 0
+    for argv in (
+        ["classify", *FIB, "--max", "67"],
+        ["admissible", *FIB, "--a", "5", "--max", "67"],
+        ["solve", *FIB, "--a", "5", "--max", "67"],
+        ["verify", *FIB, "--a", str(u67), "--indices", "67"],
+        ["primitive", *FIB, "--n", "67", "--a", "5"],
+        ["abc-quality", *FIB, "--from", "67", "--to", "67"],
+    ):
+        code, out, err = run_cli(capsys, [*argv, "--budget", "100"])
+        assert (code, err) == (0, ""), argv
+        assert run_cli(capsys, argv) == (0, out, ""), argv
+    # A rejection of U_67 is reached too: it needs the whole table of U_67.
+    code, out, err = run_cli(capsys, ["verify", *FIB, "--a", "5", "--indices", "67", "--budget", "100"])
+    assert (code, out, err) == (1, "rejected: U_67 has prime 269 to exponent not divisible by 2 outside the support of a=5\n", "")
+
+
+def test_budget_counts_rho_alone_on_pell_71(capsys):
+    # Rho needs 99,838 iterations for the 80-bit composite
+    # 934149528852691975402289 of U_71, just within a budget of 10^5.
+    code, out, err = run_cli(capsys, ["classify", "--p", "2", "--q", "1", "--max", "71", "--budget", "100000"])
+    assert (code, err) == (0, "")
+    fac = factorize(lucas_u(validate_params(2, 1), 71))
+    e, s = fac.power_free(2)
+    assert out.splitlines()[-1] == f"71 {fac.value()} {e.value()} {s.value()} {e.value()}"
+
+
 def test_primitive_never_factors_the_coefficient(capsys):
-    # A = U_67 needs rho, but the filter only divides A by the primes of U_10.
-    argv = ["primitive", *FIB, "--n", "10", "--a", "167083904137"]
+    # A = 988681 * 4832521 needs rho (the p-1 step gathers both primes at
+    # once), but the filter only divides A by the primes of U_10.
+    argv = ["primitive", *FIB, "--n", "10", "--a", "4777821694801"]
     code, out, err = run_cli(capsys, [*argv, "--budget", "100"])
     assert (code, err) == (0, "")
     assert run_cli(capsys, argv) == (0, out, "")
@@ -663,7 +699,7 @@ def test_partial_split_exits_without_factoring_the_term_again(capsys, monkeypatc
         (["abc-quality", *FIB, "--from", "139", "--to", "139"], (1, 1), 139),
         (["primitive", "--p", "3", "--q", "-1", "--n", "94"], (3, -1), 47),
         (["primitive", *FIB, "--n", "278"], (1, 1), 139),
-        (["primitive", "--p", "2", "--q", "1", "--n", "142"], (2, 1), 71),
+        (["primitive", "--p", "2", "--q", "1", "--n", "158"], (2, 1), 79),
     ]
     for argv, card, index in cases:
         rho_work.clear()

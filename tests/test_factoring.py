@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,9 +14,9 @@ from lucasprod import (
     power_free_part,
 )
 from lucasprod.factoring import TRIAL_DIVISION_LIMIT
-from lucasprod.intmath import is_probable_prime, primes_below
+from lucasprod.intmath import is_probable_prime
 
-from _oracles import kth_power_free_part, power_free_by_scan, trial_factorize
+from _oracles import kth_power_free_part, power_free_by_scan, primes_below, trial_factorize
 
 
 def _next_prime(n):
@@ -108,16 +109,20 @@ def test_chunked_trial_division_matches_naive_loop(monkeypatch):
         (6 * big_p * big_q, 10 ** 6, {big_p: 1, big_q: 1}),
         (8 * 99991 * hard_p * hard_q, 10, None),
     ]
-    handed_to_rho = []
-    real_rho = factoring._brent_rho
+    # The composites that pass trial division and the primality test, and so
+    # reach peeling, the p-1 step and rho.
+    past_trial = []
+    real_test = factoring.is_probable_prime
 
-    def recording_rho(c, budget):
-        handed_to_rho.append(c)
-        return real_rho(c, budget)
+    def recording_test(c):
+        prime = real_test(c)
+        if not prime:
+            past_trial.append(c)
+        return prime
 
-    monkeypatch.setattr(factoring, "_brent_rho", recording_rho)
+    monkeypatch.setattr(factoring, "is_probable_prime", recording_test)
     for n, budget, survivor_factors in cases:
-        handed_to_rho.clear()
+        past_trial.clear()
         fac = factorize(n, FactorCache(budget=budget))
         expected, survivor = _naive_trial_phase(n)
         composite = survivor >= TRIAL_DIVISION_LIMIT ** 2 and not is_probable_prime(survivor)
@@ -128,7 +133,7 @@ def test_chunked_trial_division_matches_naive_loop(monkeypatch):
         assert fac.sign == (1 if n > 0 else -1)
         assert fac.factors == dict(sorted(expected.items()))
         assert fac.cofactor == (survivor if composite and survivor_factors is None else 1)
-        assert handed_to_rho == ([survivor] if composite else [])
+        assert past_trial == ([survivor] if composite else [])
         assert fac.value() == n
 
 
@@ -162,30 +167,31 @@ def test_pm1_step_on_two_smooth_primes_falls_back_to_rho(monkeypatch):
     assert is_probable_prime(p) and is_probable_prime(q)
     assert factoring._PM1_L % (p - 1) == 0 and factoring._PM1_L % (q - 1) == 0
     budgets = _recording_rho(monkeypatch)
-    fac = factorize(p * q, FactorCache(budget=10 ** 5), rank=1)
+    fac = factorize(p * q, FactorCache(budget=10 ** 5))
     assert fac.complete and fac.factors == {p: 1, q: 1}
-    assert budgets == [10 ** 5 - factoring._PM1_L.bit_length()]
+    assert budgets == [10 ** 5]
 
 
-def test_pm1_step_cost_comes_out_of_the_rho_budget(monkeypatch):
-    # Safe primes p = 2p' + 1: ord_p(2) is p' or 2p', and the prime p' > 2000 divides no 7 * L, so the gcd is 1.
+def test_pm1_step_cost_stays_out_of_the_rho_budget(monkeypatch):
+    # Safe primes p = 2p' + 1: ord_p(2) is p' or 2p', and the prime p' > 2000 divides no L, so the gcd is 1.
     p, q = 1_000_000_007, 1_000_000_403
     assert all(is_probable_prime(r) and is_probable_prime((r - 1) // 2) for r in (p, q))
-    cost = (7 * factoring._PM1_L).bit_length()
+    cost = factoring._PM1_L.bit_length()
     budgets = _recording_rho(monkeypatch)
-    for budget, rho_budget in ((cost + 5, 5), (cost, 0), (cost - 1, cost - 1)):
+    for budget in (cost + 5, cost, cost - 1):
         budgets.clear()
-        fac = factorize(p * q, FactorCache(budget=budget), rank=7)
-        assert budgets == [rho_budget], budget  # below the cost, the step is skipped
+        fac = factorize(p * q, FactorCache(budget=budget))
+        assert budgets == [budget], budget  # the step runs at every budget, and rho gets it all
         assert fac.value() == p * q
 
 
-def test_rank_hint_never_changes_a_complete_result():
+def test_pm1_step_never_changes_a_complete_result():
     rng = random.Random(0x9E1)
-    compared = 0
+    complete = 0
     for _ in range(40):
         rank = rng.randrange(2, 300)
         n = rng.choice((1, -1))
+        primes = []
         for _ in range(rng.randrange(2, 4)):
             if rng.random() < 0.5:
                 # rank | p - 1, as for a primitive prime of U_rank with (delta/p) = 1
@@ -194,16 +200,19 @@ def test_rank_hint_never_changes_a_complete_result():
                     p += rank
             else:
                 p = _next_prime(rng.getrandbits(rng.randrange(17, 31)))
+            primes.append(p)
             n *= p
         budget = rng.choice((3_000, 6_000, 30_000))
-        bare = factorize(n, FactorCache(budget=budget))
-        for hint in (rank, rng.randrange(2, 10 ** 6), 0):
-            hinted = factorize(n, FactorCache(budget=budget), rank=hint)
-            assert hinted.value() == n
-            if hinted.complete and bare.complete:
-                assert hinted == bare, (n, hint)
-                compared += 1
-    assert compared >= 60
+        fac = factorize(n, FactorCache(budget=budget))
+        assert fac.value() == n
+        multiplied = dict(sorted(Counter(primes).items()))
+        if fac.complete:
+            assert fac.factors == multiplied, n
+            complete += 1
+        else:
+            assert all(multiplied.get(p, 0) == e for p, e in fac.factors.items()), n
+            assert not is_probable_prime(fac.cofactor), n
+    assert complete >= 20
 
 
 def test_budget_exhaustion_is_partial_not_wrong():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from _oracles import legendre_by_euler, miller_rabin_40, trial_factorize
+from _oracles import legendre_by_euler, miller_rabin_40, primes_below, trial_factorize
 from lucasprod.factoring import factorize
 from lucasprod.intmath import (
     _MR_DETERMINISTIC_LIMIT,
@@ -14,7 +14,6 @@ from lucasprod.intmath import (
     is_probable_prime,
     jacobi,
     kronecker_at_prime,
-    primes_below,
 )
 
 # psi_12: the least strong pseudoprime to the first 12 prime bases, below psi_13.

@@ -18,10 +18,10 @@ from lucasprod import (
     rank_of_apparition,
     validate_params,
 )
-from lucasprod.intmath import kronecker_at_prime, primes_below
+from lucasprod.intmath import kronecker_at_prime
 from lucasprod.lucas import DEFAULT_INDEX_CAP, lucas_u, lucas_u_mod
 
-from _oracles import rank_by_bigint, rank_by_scan
+from _oracles import primes_below, rank_by_bigint, rank_by_scan
 
 BENCHMARK_CARDS = ((1, 1), (2, 1), (3, -1), (3, 1), (4, 1), (6, 1))
 PRIMES_BELOW_20000 = primes_below(20_000)
@@ -244,7 +244,7 @@ def test_split_completes_fibonacci_94(fib):
     assert fac.factors == {lucas_u(fib, 47): 1, value // lucas_u(fib, 47): 1}
 
 
-def test_rank_hint_splits_deep_6_1_terms_without_rho(monkeypatch):
+def test_pm1_step_splits_deep_6_1_terms_without_rho(monkeypatch):
     params = validate_params(6, 1)
     rho_calls = []
     real_rho = factoring._brent_rho
