@@ -19,7 +19,7 @@ D = ``field_discriminant(Delta)``, the one invariant of K it needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import NonpositiveDiscriminant, SquareDiscriminant
 from .factoring import FactorCache, factorize, power_free_part
@@ -32,33 +32,24 @@ _EMBEDDING_LIMIT_NATS = 500.0
 _RESIDUAL_TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True)
-class BinetTriple:
+class BinetTriple(namedtuple("BinetTriple", "n e s k")):
     """A representation U_n = e * s^k, pinning the triple for one index."""
 
-    n: int
-    e: int
-    s: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"index must be >= 1, got {self.n}")
-        if self.e == 0:
+    def __new__(cls, n: int, e: int, s: int, k: int):
+        if n < 1:
+            raise ValueError(f"index must be >= 1, got {n}")
+        if e == 0:
             raise ValueError("e must be nonzero")
-        if self.s < 1:
-            raise ValueError(f"s must be >= 1, got {self.s}")
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
+        if s < 1:
+            raise ValueError(f"s must be >= 1, got {s}")
+        if k < 2:
+            raise ValueError(f"k must be >= 2, got {k}")
+        return super().__new__(cls, n, e, s, k)
 
 
-@dataclass(frozen=True)
-class QualityReport:
-    height: float
-    radical: float
-    quality: float
-    lower_slack: float
-    upper_slack_term: float
+QualityReport = namedtuple("QualityReport", "height radical quality lower_slack upper_slack_term")
 
 
 def field_discriminant(delta: int, cache: FactorCache | None = None) -> int:

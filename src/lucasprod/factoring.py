@@ -1,15 +1,21 @@
 """Exact factorization of big integers, with budgeted rho and a line cache.
 
-Pipeline: trial division up to 10^5 (each chunk of primes screened by one
-gcd), a primality test (Miller-Rabin, deterministic below ~3.3e24, and
-Baillie-PSW above), perfect-power peeling, one Pollard p-1 step on the first
-composite left, then Brent's variant of Pollard rho with deterministic
+Pipeline: trial division up to 10^5, a primality test (Miller-Rabin,
+deterministic below ~3.3e24, and Baillie-PSW above), perfect-power peeling
+(a root is factored once, for all its copies), one Pollard p-1 step on the
+first composite left, then Brent's variant of Pollard rho with deterministic
 restarts on each composite still left. The step is one gcd,
 g = gcd(2^L - 1, c) with L = lcm(1..2000): g gathers every prime p of c whose
 order of 2 divides L, every p with p - 1 | L among them, and splits c unless
 it gathers all of its primes or none. The budget counts rho iterations per
 composite, not the step; when it runs out the result is Partial, and callers
 that need completeness get IncompleteFactorization.
+
+The trial tables are built at import with C-level loops: a byte sieve below
+10^5, the 9,592 primes it marks in one machine-int ``array``, and chunks of
+64 primes, each kept as (first prime, slice bounds, product). One gcd with
+the product screens a chunk, and only a chunk it does not clear is sliced
+out of the array and divided prime by prime.
 
 A FactorCache is the one factoring context of a run: it carries the rho
 budget and makes each distinct integer cost one factorization. Every function
@@ -28,7 +34,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from array import array
+from collections import namedtuple
+from itertools import compress
 
 from .errors import IncompleteFactorization, ZeroInput
 from .intmath import integer_kth_root, is_probable_prime, prime_sieve
@@ -38,15 +46,14 @@ DEFAULT_RHO_BUDGET = 10 ** 8
 
 # _TRIAL_SIEVE[p] == 1 exactly for the primes p below the trial limit.
 _TRIAL_SIEVE = prime_sieve(TRIAL_DIVISION_LIMIT)
-_TRIAL_PRIMES = [p for p in range(TRIAL_DIVISION_LIMIT) if _TRIAL_SIEVE[p]]
-# Trial primes in chunks, each with the product of its primes: one gcd with
-# the product tells whether any prime of the chunk divides.
+_TRIAL_PRIMES = array("l", compress(range(TRIAL_DIVISION_LIMIT), _TRIAL_SIEVE))
+# Trial primes in chunks of 64, each as (first prime, start, stop, product of
+# _TRIAL_PRIMES[start:stop]): one gcd with the product tells whether any
+# prime of the chunk divides.
 _TRIAL_CHUNK = 64
 _TRIAL_CHUNKS = tuple(
-    (chunk, math.prod(chunk))
-    for chunk in (
-        tuple(_TRIAL_PRIMES[i : i + _TRIAL_CHUNK]) for i in range(0, len(_TRIAL_PRIMES), _TRIAL_CHUNK)
-    )
+    (_TRIAL_PRIMES[i], i, i + _TRIAL_CHUNK, math.prod(_TRIAL_PRIMES[i : i + _TRIAL_CHUNK]))
+    for i in range(0, len(_TRIAL_PRIMES), _TRIAL_CHUNK)
 )
 # Squares of numbers with no prime factor below the trial limit are at least this.
 _TRIAL_LIMIT_SQUARED = TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT
@@ -63,20 +70,19 @@ def _largest_power_within(p: int, bound: int) -> int:
 # Exponent of the p-1 step: L = lcm(1..2000), the product over the
 # primes p <= 2000 of the largest power of p within 2000.
 _PM1_BOUND = 2000
-_PM1_L = math.prod(_largest_power_within(p, _PM1_BOUND) for p in _TRIAL_PRIMES if p <= _PM1_BOUND)
+_PM1_L = math.prod(
+    _largest_power_within(p, _PM1_BOUND) for p in compress(range(_PM1_BOUND + 1), _TRIAL_SIEVE)
+)
 
 # Polynomial increments for rho restarts; fixed so runs are reproducible.
 _RHO_INCREMENTS = (1, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 _RHO_BATCH = 128
 
 
-@dataclass
-class Factorization:
+class Factorization(namedtuple("Factorization", "sign factors cofactor", defaults=(1,))):
     """Signed prime-exponent map; ``cofactor`` > 1 marks a partial result."""
 
-    sign: int
-    factors: dict[int, int]
-    cofactor: int = 1
+    __slots__ = ()
 
     @property
     def complete(self) -> bool:
@@ -107,12 +113,10 @@ class Factorization:
         return e, Factorization(1, {p: exp // k for p, exp in self.factors.items() if exp >= k})
 
 
-@dataclass(frozen=True)
-class PowerFreeDecomposition:
+class PowerFreeDecomposition(namedtuple("PowerFreeDecomposition", "e s")):
     """N = e * s^k with e k-th-power-free and carrying the sign of N, s >= 1."""
 
-    e: int
-    s: int
+    __slots__ = ()
 
 
 class FactorCache:
@@ -191,7 +195,7 @@ class FactorCache:
 
     def get(self, n: int) -> Factorization | None:
         hit = self._entries.get(n)
-        if isinstance(hit, tuple):
+        if type(hit) is tuple:  # a Factorization is a tuple too, of its own type
             # A corrupt record raises here and stays unread, so every read raises.
             hit = self._entries[n] = self._parse(n, *hit)
         return hit.copy() if hit is not None else None
@@ -270,25 +274,26 @@ def factorize(n: int, cache: FactorCache | None = None) -> Factorization:
     sign = 1 if n > 0 else -1
     m = abs(n)
     factors: dict[int, int] = {}
-    for chunk, product in _TRIAL_CHUNKS:
-        if chunk[0] * chunk[0] > m:
-            break  # m has no prime below chunk[0], so it is 1 or prime
+    for first, start, stop, product in _TRIAL_CHUNKS:
+        if first * first > m:
+            break  # m has no prime below first, so it is 1 or prime
         if math.gcd(m, product) == 1:
             continue
-        for p in chunk:
+        for p in _TRIAL_PRIMES[start:stop]:
             while m % p == 0:
                 factors[p] = factors.get(p, 0) + 1
                 m //= p
 
     budget = DEFAULT_RHO_BUDGET if cache is None else cache.budget
     cofactor = 1
-    pending = [m] if m > 1 else []
+    # (composite or prime, multiplicity): a peeled root is factored once for all its copies.
+    pending = [(m, 1)] if m > 1 else []
     pm1_due = True
     while pending:
-        c = pending.pop()
+        c, mult = pending.pop()
         if c < _TRIAL_LIMIT_SQUARED or is_probable_prime(c):
             # below the square of the trial limit, a survivor is prime
-            factors[c] = factors.get(c, 0) + 1
+            factors[c] = factors.get(c, 0) + mult
             continue
         # Perfect-power peeling: rho converges slowly on high prime powers.
         peeled = False
@@ -297,7 +302,7 @@ def factorize(n: int, cache: FactorCache | None = None) -> Factorization:
                 break
             root = integer_kth_root(c, j)
             if root ** j == c:
-                pending.extend([root] * j)
+                pending.append((root, mult * j))
                 peeled = True
                 break
         if peeled:
@@ -308,14 +313,13 @@ def factorize(n: int, cache: FactorCache | None = None) -> Factorization:
             pm1_due = False
             divisor = math.gcd(pow(2, _PM1_L, c) - 1, c)
             if 1 < divisor < c:
-                pending += [divisor, c // divisor]
+                pending += [(divisor, mult), (c // divisor, mult)]
                 continue
         divisor, _ = _brent_rho(c, budget)
         if divisor is None:
-            cofactor *= c
+            cofactor *= c ** mult
             continue
-        pending.append(divisor)
-        pending.append(c // divisor)
+        pending += [(divisor, mult), (c // divisor, mult)]
 
     result = Factorization(sign, dict(sorted(factors.items())), cofactor)
     if cache is not None:

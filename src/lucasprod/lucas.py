@@ -8,7 +8,7 @@ is exact; the stored real roots are double precision and feed only estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BadQ, NonpositiveDiscriminant, SquareDiscriminant
 
@@ -16,8 +16,7 @@ from .errors import BadQ, NonpositiveDiscriminant, SquareDiscriminant
 DEFAULT_INDEX_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class LucasParams:
+class LucasParams(namedtuple("LucasParams", "p q delta alpha beta")):
     """Validated (p, q, delta) with the dominant root stored as ``alpha``.
 
     ``alpha`` and ``beta`` are the real roots of x^2 - p*x - q, labelled so
@@ -25,11 +24,7 @@ class LucasParams:
     (p + sqrt(delta))/2 assignment.
     """
 
-    p: int
-    q: int
-    delta: int
-    alpha: float
-    beta: float
+    __slots__ = ()
 
 
 def validate_params(p: int, q: int) -> LucasParams:

@@ -22,7 +22,7 @@ divisibility again, a prime of U_n is primitive iff it divides no U_{n/l};
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import IncompleteFactorization, NotFoundWithinBound, NotPrime, ZeroInput
 from .factoring import FactorCache, Factorization, factorize
@@ -30,30 +30,10 @@ from .intmath import is_probable_prime, kronecker_at_prime
 from .lucas import LucasParams, lucas_u, lucas_u_mod
 
 
-@dataclass(frozen=True)
-class RankOfApparition:
-    p: int
-    z: int
-
-
-@dataclass(frozen=True)
-class PrimitiveEntry:
-    prime: int
-    multiplicity: int
-    primitive: bool
-
-
-@dataclass(frozen=True)
-class PrimitiveReport:
-    n: int
-    entries: tuple[PrimitiveEntry, ...]
-
-
-@dataclass(frozen=True)
-class ObstructionVerdict:
-    admissible: bool
-    reason: str
-    prime: int | None = None
+RankOfApparition = namedtuple("RankOfApparition", "p z")
+PrimitiveEntry = namedtuple("PrimitiveEntry", "prime multiplicity primitive")
+PrimitiveReport = namedtuple("PrimitiveReport", "n entries")  # entries: tuple of PrimitiveEntry
+ObstructionVerdict = namedtuple("ObstructionVerdict", "admissible reason prime", defaults=(None,))
 
 
 def rank_of_apparition(params: LucasParams, p: int, cache: FactorCache | None = None) -> RankOfApparition:

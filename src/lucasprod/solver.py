@@ -11,7 +11,7 @@ certificate with the per-prime valuation evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     ClassMismatch,
@@ -28,40 +28,34 @@ from .lucas import LucasParams, lucas_range, lucas_u
 from .square_class import IDENTITY_CLASS, class_mul, class_of
 
 
-@dataclass(frozen=True)
-class ProductEquation:
+class ProductEquation(namedtuple("ProductEquation", "params a k max_index max_factors")):
     """A * y^k = prod U_{n_i}, searched over indices in [2, max_index] with at
     most max_factors pairwise coprime factors."""
 
-    params: LucasParams
-    a: int
-    k: int
-    max_index: int
-    max_factors: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a == 0:
+    def __new__(cls, params: LucasParams, a: int, k: int, max_index: int, max_factors: int):
+        if a == 0:
             raise ValueError("coefficient a must be nonzero")
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
-        if self.max_index < 2:
-            raise ValueError(f"max_index must be >= 2, got {self.max_index}")
-        if self.max_factors < 1:
-            raise ValueError(f"max_factors must be >= 1, got {self.max_factors}")
+        if k < 2:
+            raise ValueError(f"k must be >= 2, got {k}")
+        if max_index < 2:
+            raise ValueError(f"max_index must be >= 2, got {max_index}")
+        if max_factors < 1:
+            raise ValueError(f"max_factors must be >= 1, got {max_factors}")
+        return super().__new__(cls, params, a, k, max_index, max_factors)
 
 
-@dataclass(frozen=True)
-class AdmissibleSet:
+class AdmissibleSet(namedtuple("AdmissibleSet", "indices")):
     """Indices in [2, max_index] passing the termwise power-class test."""
 
-    indices: tuple[int, ...]
+    __slots__ = ()
 
     def __contains__(self, n: int) -> bool:
         return n in self.indices
 
 
-@dataclass
-class SolutionCertificate:
+class SolutionCertificate(namedtuple("SolutionCertificate", "indices y valuation_table trivial")):
     """Auditable record of one solution.
 
     ``indices`` is strictly increasing and pairwise coprime, all >= 2; the
@@ -70,10 +64,7 @@ class SolutionCertificate:
     it divides.
     """
 
-    indices: tuple[int, ...]
-    y: int
-    valuation_table: dict[int, tuple[tuple[int, int], ...]]
-    trivial: bool
+    __slots__ = ()
 
 
 def admissible_indices(eq: ProductEquation, cache: FactorCache | None = None) -> AdmissibleSet:

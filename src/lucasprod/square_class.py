@@ -8,25 +8,24 @@ cache; the distinct primes of an integer n are ``factorize(n).support()``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .factoring import FactorCache, factorize, power_free_part
 from .intmath import is_probable_prime
 
 
-@dataclass(frozen=True)
-class SquareClass:
-    sign: int
-    primes: tuple[int, ...]
+class SquareClass(namedtuple("SquareClass", "sign primes")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        if list(self.primes) != sorted(set(self.primes)):
+    def __new__(cls, sign: int, primes: tuple[int, ...]):
+        if sign not in (-1, 1):
+            raise ValueError(f"sign must be +1 or -1, got {sign}")
+        if list(primes) != sorted(set(primes)):
             raise ValueError("primes must be strictly sorted and distinct")
-        for p in self.primes:
+        for p in primes:
             if not is_probable_prime(p):
                 raise ValueError(f"{p} is not prime")
+        return super().__new__(cls, sign, primes)
 
     def as_integer(self) -> int:
         """The signed squarefree representative."""

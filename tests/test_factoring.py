@@ -144,7 +144,15 @@ def test_perfect_power_peeling():
     assert fac.factors == {p: 3}
 
 
-def test_pm1_exponent_is_lcm_of_1_to_2000():
+def test_trial_tables_and_pm1_exponent():
+    assert list(factoring._TRIAL_PRIMES) == primes_below(TRIAL_DIVISION_LIMIT)
+    covered = []
+    for first, start, stop, product in factoring._TRIAL_CHUNKS:
+        chunk = list(factoring._TRIAL_PRIMES[start:stop])
+        assert first == chunk[0] and start == len(covered)
+        assert product == math.prod(chunk)
+        covered += chunk
+    assert covered == primes_below(TRIAL_DIVISION_LIMIT)
     assert factoring._PM1_L == math.lcm(*range(1, 2001))
 
 
@@ -183,6 +191,18 @@ def test_pm1_step_cost_stays_out_of_the_rho_budget(monkeypatch):
         fac = factorize(p * q, FactorCache(budget=budget))
         assert budgets == [budget], budget  # the step runs at every budget, and rho gets it all
         assert fac.value() == p * q
+
+
+def test_peeled_root_goes_through_rho_once(monkeypatch):
+    p, q = 1_000_000_007, 1_000_000_403  # safe primes: the p-1 step leaves p*q whole
+    budgets = _recording_rho(monkeypatch)
+    fac = factorize((p * q) ** 3, FactorCache(budget=100))
+    assert budgets == [100]
+    assert (fac.factors, fac.cofactor) == ({}, (p * q) ** 3)
+    budgets.clear()
+    fac = factorize((p * q) ** 3, FactorCache(budget=10 ** 6))
+    assert budgets == [10 ** 6]
+    assert fac.complete and fac.factors == {p: 3, q: 3}
 
 
 def test_pm1_step_never_changes_a_complete_result():
