@@ -14,6 +14,10 @@ representation, such as e = U_n and s = 1, gives the same figures.
 ``binet_radical`` reads the ramification of each prime p of the middle entry
 off the Kronecker symbol (D/p) of the field discriminant
 D = ``field_discriminant(Delta)``, the one invariant of K it needs.
+
+The float roots alpha, beta = (p +- sqrt(Delta))/2 live here, in ``_roots``.
+Every log-scale figure uses the dominant modulus (|p| + sqrt(Delta))/2, so a
+card and its negation, whose terms agree up to sign, give the same figures.
 """
 
 from __future__ import annotations
@@ -62,14 +66,21 @@ def field_discriminant(delta: int, cache: FactorCache | None = None) -> int:
     return d if d % 4 == 1 else 4 * d
 
 
+def _roots(params: LucasParams) -> tuple[float, float, float]:
+    """Doubles alpha, beta = (p +- sqrt(delta))/2 and their larger modulus."""
+    root = math.sqrt(params.delta)
+    return (params.p + root) / 2.0, (params.p - root) / 2.0, (abs(params.p) + root) / 2.0
+
+
 def binet_identity_residual(params: LucasParams, triple: BinetTriple) -> float:
     """Larger relative residual of beta^n + sqrt(delta)*e*s^k = alpha^n at the
     two real embeddings (conjugation swaps the roots and negates the middle).
     """
-    scale = abs(params.alpha) ** triple.n
+    alpha, beta, dominant = _roots(params)
+    scale = dominant ** triple.n
     middle = math.sqrt(params.delta) * float(triple.e * triple.s ** triple.k)
-    first = abs(params.beta ** triple.n + middle - params.alpha ** triple.n)
-    second = abs(params.alpha ** triple.n - middle - params.beta ** triple.n)
+    first = abs(beta ** triple.n + middle - alpha ** triple.n)
+    second = abs(alpha ** triple.n - middle - beta ** triple.n)
     return max(first, second) / scale
 
 
@@ -84,7 +95,7 @@ def make_binet_triple(params: LucasParams, n: int, k: int, cache: FactorCache | 
     triple = BinetTriple(n=n, e=dec.e, s=dec.s, k=k)
     if triple.e * triple.s ** triple.k != value:
         raise ValueError(f"e*s^k = {triple.e}*{triple.s}^{k} does not equal U_{n}")
-    if n * math.log(abs(params.alpha)) <= _EMBEDDING_LIMIT_NATS:
+    if n * math.log(_roots(params)[2]) <= _EMBEDDING_LIMIT_NATS:
         residual = binet_identity_residual(params, triple)
         if residual > _RESIDUAL_TOLERANCE:
             raise ValueError(f"binet identity residual {residual:.3e} out of range")
@@ -96,15 +107,15 @@ def binet_height(params: LucasParams, triple: BinetTriple) -> float:
 
     Finite places contribute nothing (the outer entries are units and the
     middle is integral), and the two real embeddings agree, leaving
-    max(n*log|alpha|, log|sqrt(delta)*e*s^k|) computed in log space.
+    max(n*log(dominant), log|sqrt(delta)*e*s^k|) computed in log space.
     """
-    log_alpha = math.log(abs(params.alpha))
+    log_dominant = math.log(_roots(params)[2])
     log_middle = (
         0.5 * math.log(params.delta)
         + math.log(abs(triple.e))
         + triple.k * math.log(triple.s)
     )
-    return max(triple.n * log_alpha, log_middle)
+    return max(triple.n * log_dominant, log_middle)
 
 
 def binet_radical(params: LucasParams, triple: BinetTriple, cache: FactorCache | None = None) -> float:
@@ -139,6 +150,6 @@ def quality_report(params: LucasParams, n: int, k: int, cache: FactorCache | Non
         height=height,
         radical=radical,
         quality=height / radical,
-        lower_slack=height - n * math.log(abs(params.alpha)),
+        lower_slack=height - n * math.log(_roots(params)[2]),
         upper_slack_term=radical - math.log(triple.s),
     )

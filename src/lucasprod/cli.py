@@ -30,8 +30,8 @@ records that factoring computed.
 classify, abc-quality and primitive factor each term U_n with
 ``primitive.factor_term``, which divides out the primes of every U_{n/l} (l
 a prime of n) before the p-1 step and rho; classify reads e, s and the
-square class off its result, the others read U_n back from the cache. The
-first U_d, d | n, whose primitive part stops partial exits 3 in
+square class off its result, and abc-quality reads U_n back from the cache.
+The first U_d, d | n, whose primitive part stops partial exits 3 in
 ``factor_term``, naming d and its leftover composite, so rho meets that
 composite once. Their file also receives the terms U_d, d | n, and each
 one's primitive part; primitive --a adds no record for A and judges the
@@ -155,6 +155,8 @@ def _run_rank(args: argparse.Namespace, params: LucasParams, cache: FactorCache 
 
 
 def _run_primitive(args: argparse.Namespace, params: LucasParams, cache: FactorCache | None) -> _Output:
+    if args.a is not None and args.n < 2:  # the filter's check, before the split writes the file
+        raise ValueError(f"index must be >= 2, got {args.n}")
     report = primitive_divisors(params, args.n, cache=cache)
     verdict = None
     if args.a is not None:

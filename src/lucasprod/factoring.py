@@ -19,15 +19,16 @@ out of the array and divided prime by prime.
 
 A FactorCache is the one factoring context of a run: it carries the rho
 budget and makes each distinct integer cost one factorization. Every function
-above ``factorize`` takes it as ``cache=``; without one, ``factorize`` runs
-at DEFAULT_RHO_BUDGET and remembers nothing. Given a cache,
+above ``factorize`` takes it as ``cache=``; a call without one makes its own
+``FactorCache()``, at DEFAULT_RHO_BUDGET, that dies with the call.
 ``power_free_part`` also records the exact factorizations of the k-free part
-e and the root s it derives, in memory only, so later lookups of e and s need
-no rho; a cache file receives only the records ``factorize`` computed, and
-the Lucas terms ``primitive.factor_term`` assembles from such records. A
-cache file is indexed by N when the cache is built, and each record is
-parsed and checked (structure, sign, exponents, prime bases, reconstruction
-of N) on its first read; a record no call reads is never checked.
+e and the root s it derives, in the cache's memory only, so later lookups of
+e and s need no rho; a cache file receives only the records ``factorize``
+computed, and the Lucas terms ``primitive.factor_term`` assembles from such
+records. A cache file is indexed by N when the cache is built, and each
+record is parsed and checked (structure, sign, exponents, prime bases,
+reconstruction of N) on its first read; a record no call reads is never
+checked.
 """
 
 from __future__ import annotations
@@ -219,11 +220,11 @@ class FactorCache:
             self._newline_due = False
 
 
-def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
+def _brent_rho(n: int, budget: int) -> int | None:
     """A nontrivial factor of odd composite n, or None when the budget is spent.
 
     Brent cycle detection with batched gcds; the (start, increment) sequence is
-    fixed, so results are reproducible. Returns (factor, iterations_used).
+    fixed, so results are reproducible. ``budget`` caps all restarts' iterations.
     """
     used = 0
     for c in _RHO_INCREMENTS:
@@ -248,7 +249,7 @@ def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
                 k += batch
             r *= 2
         if g == 1:
-            return None, used  # budget exhausted mid-cycle
+            return None  # budget exhausted mid-cycle
         if g == n:
             # The batched gcd collapsed; replay one step at a time.
             g = 1
@@ -256,21 +257,21 @@ def _brent_rho(n: int, budget: int) -> tuple[int | None, int]:
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
         if g != n:
-            return g, used
+            return g
         # g == n even stepwise: retry with the next increment.
-    return None, used
+    return None
 
 
 def factorize(n: int, cache: FactorCache | None = None) -> Factorization:
     """Factor a nonzero integer; Partial (composite cofactor) when the budget
-    runs out. The budget is the cache's, else DEFAULT_RHO_BUDGET.
+    runs out. The budget is the cache's.
     """
     if n == 0:
         raise ZeroInput("factorization input")
-    if cache is not None:
-        hit = cache.get(n)
-        if hit is not None:
-            return hit
+    cache = FactorCache() if cache is None else cache
+    hit = cache.get(n)
+    if hit is not None:
+        return hit
     sign = 1 if n > 0 else -1
     m = abs(n)
     factors: dict[int, int] = {}
@@ -284,7 +285,6 @@ def factorize(n: int, cache: FactorCache | None = None) -> Factorization:
                 factors[p] = factors.get(p, 0) + 1
                 m //= p
 
-    budget = DEFAULT_RHO_BUDGET if cache is None else cache.budget
     cofactor = 1
     # (composite or prime, multiplicity): a peeled root is factored once for all its copies.
     pending = [(m, 1)] if m > 1 else []
@@ -315,29 +315,28 @@ def factorize(n: int, cache: FactorCache | None = None) -> Factorization:
             if 1 < divisor < c:
                 pending += [(divisor, mult), (c // divisor, mult)]
                 continue
-        divisor, _ = _brent_rho(c, budget)
+        divisor = _brent_rho(c, cache.budget)
         if divisor is None:
             cofactor *= c ** mult
             continue
         pending += [(divisor, mult), (c // divisor, mult)]
 
     result = Factorization(sign, dict(sorted(factors.items())), cofactor)
-    if cache is not None:
-        cache.add(n, result)
+    cache.add(n, result)
     return result
 
 
 def power_free_part(n: int, k: int, cache: FactorCache | None = None) -> PowerFreeDecomposition:
     """Unique decomposition n = e * s^k with e k-th-power-free, sign on e.
 
-    With a cache, the factorizations of e and s read off that of n are kept
-    in its memory (never in its file), so factoring them later costs nothing.
+    The factorizations of e and s read off that of n are kept in the cache's
+    memory (never in its file), so factoring them later costs nothing.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")  # before any factoring
+    cache = FactorCache() if cache is None else cache
     e_fac, s_fac = factorize(n, cache=cache).power_free(k)
     e, s = e_fac.value(), s_fac.value()
-    if cache is not None:
-        cache._remember(e, e_fac)
-        cache._remember(s, s_fac)
+    cache._remember(e, e_fac)
+    cache._remember(s, s_fac)
     return PowerFreeDecomposition(e=e, s=s)

@@ -1,8 +1,8 @@
 """Validated Lucas sequence parameters and exact computation of U_n.
 
 The sequence is U_0 = 0, U_1 = 1, U_{n+2} = p*U_{n+1} + q*U_n with q = +1 or
--1 and positive nonsquare discriminant delta = p^2 + 4q. All term arithmetic
-is exact; the stored real roots are double precision and feed only estimates.
+-1 and positive nonsquare discriminant delta = p^2 + 4q. All arithmetic here
+is exact.
 """
 
 from __future__ import annotations
@@ -15,16 +15,7 @@ from .errors import BadQ, NonpositiveDiscriminant, SquareDiscriminant
 #: Hard cap on indices, guarding against accidental huge-term blowups.
 DEFAULT_INDEX_CAP = 100_000
 
-
-class LucasParams(namedtuple("LucasParams", "p q delta alpha beta")):
-    """Validated (p, q, delta) with the dominant root stored as ``alpha``.
-
-    ``alpha`` and ``beta`` are the real roots of x^2 - p*x - q, labelled so
-    that |alpha| > 1 > |beta|; for negative p this swaps the textbook
-    (p + sqrt(delta))/2 assignment.
-    """
-
-    __slots__ = ()
+LucasParams = namedtuple("LucasParams", "p q delta")  # as checked by validate_params
 
 
 def validate_params(p: int, q: int) -> LucasParams:
@@ -36,12 +27,7 @@ def validate_params(p: int, q: int) -> LucasParams:
         raise NonpositiveDiscriminant(delta)
     if math.isqrt(delta) ** 2 == delta:
         raise SquareDiscriminant(delta)
-    root = math.sqrt(delta)
-    alpha = (p + root) / 2.0
-    beta = (p - root) / 2.0
-    if abs(alpha) < abs(beta):
-        alpha, beta = beta, alpha
-    return LucasParams(p=p, q=q, delta=delta, alpha=alpha, beta=beta)
+    return LucasParams(p, q, delta)
 
 
 def _doubling_pair(params: LucasParams, n: int, modulus: int = 0) -> tuple[int, int]:

@@ -98,8 +98,9 @@ def test_triple_field_validation():
 
 
 def test_identity_residual_is_tiny(fib, pell, shared_cache):
-    for params in (fib, pell):
-        for n in range(1, 101):
+    # Negative p too: make_binet_triple raises when the residual is out of range.
+    for params, top in ((fib, 100), (pell, 100), (validate_params(-1, 1), 100), (validate_params(-3, -1), 40)):
+        for n in range(1, top + 1):
             triple = make_binet_triple(params, n, 2, cache=shared_cache)
             assert binet_identity_residual(params, triple) <= 1e-9
 
@@ -130,10 +131,10 @@ def test_height_matches_highprecision_reference(fib, pell):
 def test_height_lower_bound(fib, pell):
     for params in (fib, pell):
         values = lucas_range(params, 200)
-        log_alpha = math.log(abs(params.alpha))
+        log_dominant = math.log((abs(params.p) + math.sqrt(params.delta)) / 2)
         for n in range(1, 201):
             triple = BinetTriple(n, values[n], 1, 2)
-            assert binet_height(params, triple) - n * log_alpha >= 0.0
+            assert binet_height(params, triple) - n * log_dominant >= 0.0
 
 
 def test_height_is_representation_independent(fib, shared_cache):

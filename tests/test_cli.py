@@ -447,6 +447,24 @@ def test_zero_coefficient_is_rejected_before_the_cache_file(tmp_path, capsys, mo
     assert not path.exists()
 
 
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (3, -1), (3, 1), (4, 1), (6, 1)])
+def test_abc_quality_table_depends_only_on_abs_p(capsys, p, q):
+    """U_n(-P) = (-1)^(n+1) U_n(P), so a negated card prints the same table."""
+    argv = ["abc-quality", "--q", str(q), "--from", "1", "--to", "40", "--budget", "100000"]
+    positive = run_cli(capsys, [*argv, "--p", str(p)])
+    assert positive[0] == 0
+    assert run_cli(capsys, [*argv, "--p", str(-p)]) == positive
+
+
+def test_primitive_filter_below_index_two_is_rejected_before_the_cache_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    path = tmp_path / "F"
+    code, out, err = run_cli(capsys, ["primitive", *FIB, "--n", "1", "--a", "5", "--cache", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "parameter error: index must be >= 2, got 1\n"
+    assert not path.exists()
+
+
 def test_primitive_report_and_verdict(capsys):
     code, out, _ = run_cli(capsys, ["primitive", *FIB, "--n", "10", "--a", "5"])
     assert code == 0
@@ -650,19 +668,29 @@ _RUN_CACHE_CASES = [
 ]
 
 
+class _CountedModulus(int):
+    """A modulus that counts the reductions taken by it, each rho step's work."""
+
+    def __rmod__(self, other):
+        self.reductions += 1
+        return int(other) % int(self)
+
+
 def test_run_cache_factors_each_term_once(capsys, monkeypatch):
     """No composite reaches rho twice in a run, and a run spends at most the
-    rho iterations of factoring each of its terms bare; on the deep (6,1)
-    window, where the split by strong divisibility removes the primes of
-    U_{n/l} before rho, it spends fewer."""
+    rho work (reductions mod the composite) of factoring each of its terms
+    bare; on the deep (6,1) window, where the split by strong divisibility
+    removes the primes of U_{n/l} before rho, it spends less."""
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     rho_work = []
     real_rho = factoring._brent_rho
 
     def recording_rho(c, budget):
-        divisor, used = real_rho(c, budget)
-        rho_work.append((c, used))
-        return divisor, used
+        counted = _CountedModulus(c)
+        counted.reductions = 0
+        divisor = real_rho(counted, budget)
+        rho_work.append((c, counted.reductions))
+        return divisor
 
     monkeypatch.setattr(factoring, "_brent_rho", recording_rho)
     for argv, (p, q), budget, indices in _RUN_CACHE_CASES:
@@ -690,9 +718,8 @@ def test_partial_split_exits_without_factoring_the_term_again(capsys, monkeypatc
     real_rho = factoring._brent_rho
 
     def recording_rho(c, budget):
-        divisor, used = real_rho(c, budget)
-        rho_work.append(used)
-        return divisor, used
+        rho_work.append(budget)  # the iterations a call may spend
+        return real_rho(c, budget)
 
     monkeypatch.setattr(factoring, "_brent_rho", recording_rho)
     cases = [

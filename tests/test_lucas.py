@@ -23,16 +23,7 @@ CLASSICAL = [(1, 1), (2, 1), (3, -1), (-1, 1), (5, 1), (4, -1)]
 def test_validate_accepts_classical_pairs():
     for p, q in CLASSICAL:
         params = validate_params(p, q)
-        assert params.delta == p * p + 4 * q
-        assert abs(params.alpha) > 1 > abs(params.beta)
-        assert params.alpha + params.beta == pytest.approx(p)
-        assert params.alpha * params.beta == pytest.approx(-q)
-
-
-def test_validate_relabels_dominant_root():
-    params = validate_params(-1, 1)
-    assert params.alpha == pytest.approx((-1 - math.sqrt(5)) / 2)
-    assert params.beta == pytest.approx((-1 + math.sqrt(5)) / 2)
+        assert params == (p, q, p * p + 4 * q)
 
 
 def test_validate_rejects_bad_q():
