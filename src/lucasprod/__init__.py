@@ -15,21 +15,16 @@ from .abc_evidence import (
     quality_report,
 )
 from .errors import (
-    BadQ,
     ClassMismatch,
     IncompleteFactorization,
     LucasProdError,
     NegativeQuotientEvenK,
-    NonpositiveDiscriminant,
     NotDivisible,
     NotFoundWithinBound,
     NotKthPower,
     NotPairwiseCoprime,
-    NotPrime,
     SeparationLawViolation,
-    SquareDiscriminant,
     VerificationError,
-    ZeroInput,
 )
 from .factoring import (
     DEFAULT_RHO_BUDGET,
@@ -118,11 +113,6 @@ __all__ = [
     "quality_report",
     # errors
     "LucasProdError",
-    "BadQ",
-    "NonpositiveDiscriminant",
-    "SquareDiscriminant",
-    "ZeroInput",
-    "NotPrime",
     "IncompleteFactorization",
     "NotFoundWithinBound",
     "SeparationLawViolation",

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import NonpositiveDiscriminant, SquareDiscriminant
 from .factoring import FactorCache, factorize, power_free_part
 from .intmath import kronecker_at_prime
 from .lucas import LucasParams, lucas_u
@@ -59,10 +58,10 @@ QualityReport = namedtuple("QualityReport", "height radical quality lower_slack 
 def field_discriminant(delta: int, cache: FactorCache | None = None) -> int:
     """Discriminant of Q(sqrt(delta)): d or 4d, d the squarefree part of delta."""
     if delta <= 0:
-        raise NonpositiveDiscriminant(delta)
+        raise ValueError(f"discriminant p^2 + 4q = {delta} is not positive")
     d = power_free_part(delta, 2, cache=cache).e
     if d == 1:
-        raise SquareDiscriminant(delta)
+        raise ValueError(f"discriminant {delta} is a perfect square (degenerate)")
     return d if d % 4 == 1 else 4 * d
 
 

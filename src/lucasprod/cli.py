@@ -12,8 +12,9 @@ returns ``(json_results, text_lines)``; ``run`` prints the one JSON record or
 the lines. ``run`` is also the one place where rejections become exit 1: a
 VerificationError or NotFoundWithinBound raised by any runner prints
 ``rejected: ...`` or ``not found: ...``, or under --json a record with empty
-``results`` and an ``error`` field. ``main`` maps every other error to exit 2
-or 3 on stderr.
+``results`` and an ``error`` field. ``main`` prints every ValueError, the
+one type of bad input, as ``parameter error: ...`` and exits 2; it maps the
+other errors to exit 2 or 3 on stderr.
 
 Each run builds one FactorCache, its only factoring context: it carries the
 --budget, in rho iterations per composite, and holds every factorization the
@@ -47,17 +48,7 @@ import os
 import sys
 
 from .abc_evidence import quality_report
-from .errors import (
-    BadQ,
-    IncompleteFactorization,
-    LucasProdError,
-    NonpositiveDiscriminant,
-    NotFoundWithinBound,
-    NotPrime,
-    SquareDiscriminant,
-    VerificationError,
-    ZeroInput,
-)
+from .errors import IncompleteFactorization, LucasProdError, NotFoundWithinBound, VerificationError
 from .factoring import DEFAULT_RHO_BUDGET, FactorCache
 from .lucas import LucasParams, lucas_range, lucas_u, validate_params
 from .primitive import factor_term, obstruction_filter, primitive_divisors, rank_of_apparition
@@ -264,7 +255,7 @@ def run(args: argparse.Namespace) -> int:
     if args.k < 2:
         raise ValueError(f"k must be >= 2, got {args.k}")
     if args.a == 0:
-        raise ZeroInput("coefficient a")
+        raise ValueError("coefficient a must be nonzero")
     path = None
     # seq factors nothing and rank one number, so neither loads the file.
     if args.subcommand not in ("seq", "rank"):
@@ -294,13 +285,15 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # terms and --prime may pass 4,300 digits
+        sys.set_int_max_str_digits(0)
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return run(args)
-    except (BadQ, NonpositiveDiscriminant, SquareDiscriminant, NotPrime, ZeroInput, ValueError) as exc:
+    except ValueError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
     except IncompleteFactorization as exc:

@@ -1,54 +1,19 @@
 """Typed errors shared across the package.
 
-Validation failures and mathematical rejections are distinct: the former
-mean the input was malformed, the latter are legitimate negative answers
-(a tuple that is not a solution, a --prime proved composite because it
-has no rank of apparition).
+Invalid input raises ``ValueError``; a ``LucasProdError`` is a result the
+package reports: a rejected tuple, a --prime proved composite because it has
+no rank of apparition, a factorization left incomplete by its budget, or an
+internally inconsistent certificate.
 """
 
 from __future__ import annotations
 
 
 class LucasProdError(Exception):
-    """Base class for every error raised by this package."""
-
-
-# --- parameter validation -------------------------------------------------
-
-class BadQ(LucasProdError):
-    """Q is restricted to +1 or -1."""
-
-    def __init__(self, q: int):
-        self.q = q
-        super().__init__(f"q must be +1 or -1, got {q}")
-
-
-class NonpositiveDiscriminant(LucasProdError):
-    def __init__(self, delta: int):
-        self.delta = delta
-        super().__init__(f"discriminant p^2 + 4q = {delta} is not positive")
-
-
-class SquareDiscriminant(LucasProdError):
-    """A square discriminant makes the root ratio rational, hence degenerate."""
-
-    def __init__(self, delta: int):
-        self.delta = delta
-        super().__init__(f"discriminant {delta} is a perfect square (degenerate)")
+    """Base class for every outcome this package reports as an error."""
 
 
 # --- factorization --------------------------------------------------------
-
-class ZeroInput(LucasProdError):
-    def __init__(self, context: str = "argument"):
-        super().__init__(f"{context} must be nonzero")
-
-
-class NotPrime(LucasProdError):
-    def __init__(self, p: int):
-        self.p = p
-        super().__init__(f"{p} is not prime")
-
 
 class IncompleteFactorization(LucasProdError):
     """A factorization stopped with a composite cofactor.

@@ -39,7 +39,7 @@ from array import array
 from collections import namedtuple
 from itertools import compress
 
-from .errors import IncompleteFactorization, ZeroInput
+from .errors import IncompleteFactorization
 from .intmath import integer_kth_root, is_probable_prime, prime_sieve
 
 TRIAL_DIVISION_LIMIT = 100_000
@@ -149,7 +149,8 @@ class FactorCache:
         return len(self._entries)
 
     def _index(self, path: str) -> None:
-        with open(path, "r", encoding="ascii") as handle:
+        # A non-ASCII byte reads as U+FFFD, which no int() accepts: its record is malformed.
+        with open(path, "r", encoding="ascii", errors="replace") as handle:
             for lineno, line in enumerate(handle, start=1):
                 self._newline_due = not line.endswith("\n")
                 head = line.split(None, 1)
@@ -176,7 +177,7 @@ class FactorCache:
         if sign not in (-1, 1):
             raise ValueError(f"{where}: sign {sign} is not +1 or -1")
         factors: dict[int, int] = {}
-        value = sign
+        value, bits, n_bits = sign, 0, abs(n).bit_length()
         for p, e in pairs:
             if p < 2:
                 raise ValueError(f"{where}: base {p} is below 2")
@@ -184,6 +185,9 @@ class FactorCache:
                 raise ValueError(f"{where}: exponent {e} of {p} is below 1")
             if p in factors:
                 raise ValueError(f"{where}: prime {p} is repeated")
+            bits += e * (p.bit_length() - 1)  # the record's product is >= 2^bits
+            if bits >= n_bits:  # checked before the power, which a huge e makes unbounded
+                raise ValueError(f"{where}: record exceeds |{n}| at {p}^{e}")
             factors[p] = e
             value *= p ** e
         if value != n:
@@ -267,7 +271,7 @@ def factorize(n: int, cache: FactorCache | None = None) -> Factorization:
     runs out. The budget is the cache's.
     """
     if n == 0:
-        raise ZeroInput("factorization input")
+        raise ValueError("factorization input must be nonzero")
     cache = FactorCache() if cache is None else cache
     hit = cache.get(n)
     if hit is not None:

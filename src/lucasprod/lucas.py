@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import BadQ, NonpositiveDiscriminant, SquareDiscriminant
-
 #: Hard cap on indices, guarding against accidental huge-term blowups.
 DEFAULT_INDEX_CAP = 100_000
 
@@ -21,12 +19,12 @@ LucasParams = namedtuple("LucasParams", "p q delta")  # as checked by validate_p
 def validate_params(p: int, q: int) -> LucasParams:
     """Check q = +-1, delta > 0 and delta nonsquare; return the parameter card."""
     if q not in (-1, 1):
-        raise BadQ(q)
+        raise ValueError(f"q must be +1 or -1, got {q}")
     delta = p * p + 4 * q
     if delta <= 0:
-        raise NonpositiveDiscriminant(delta)
+        raise ValueError(f"discriminant p^2 + 4q = {delta} is not positive")
     if math.isqrt(delta) ** 2 == delta:
-        raise SquareDiscriminant(delta)
+        raise ValueError(f"discriminant {delta} is a perfect square (degenerate)")
     return LucasParams(p, q, delta)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import IncompleteFactorization, NotFoundWithinBound, NotPrime, ZeroInput
+from .errors import IncompleteFactorization, NotFoundWithinBound
 from .factoring import FactorCache, Factorization, factorize
 from .intmath import is_probable_prime, kronecker_at_prime
 from .lucas import LucasParams, lucas_u, lucas_u_mod
@@ -47,7 +47,7 @@ def rank_of_apparition(params: LucasParams, p: int, cache: FactorCache | None = 
     rank.
     """
     if p < 2 or not is_probable_prime(p):
-        raise NotPrime(p)
+        raise ValueError(f"{p} is not prime")
     m = p - kronecker_at_prime(params.delta, p)
     if lucas_u_mod(params, m, p) != 0:
         raise NotFoundWithinBound(p, m)
@@ -137,7 +137,7 @@ def obstruction_filter(a: int, report: PrimitiveReport) -> ObstructionVerdict:
     if n < 2:
         raise ValueError(f"index must be >= 2, got {n}")
     if a == 0:
-        raise ZeroInput("coefficient a")
+        raise ValueError("coefficient a must be nonzero")
     if any(entry.primitive and a % entry.prime == 0 for entry in report.entries):
         return ObstructionVerdict(
             admissible=True,

@@ -274,10 +274,19 @@ def test_internal_inconsistency_is_not_a_rejection(capsys, monkeypatch):
     assert err.startswith("error: valuation table breaks a separation law at prime 5")
 
 
-def test_bad_q_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, ["seq", "--p", "1", "--q", "3", "--max", "5"])
-    assert code == 2
-    assert "parameter error" in err
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["seq", "--p", "1", "--q", "3", "--max", "5"], "q must be +1 or -1, got 3"),
+        (["seq", "--p", "1", "--q", "-1", "--max", "5"], "discriminant p^2 + 4q = -3 is not positive"),
+        (["seq", "--p", "0", "--q", "1", "--max", "5"], "discriminant 4 is a perfect square (degenerate)"),
+        (["solve", *FIB, "--a", "0", "--max", "5"], "coefficient a must be nonzero"),
+        (["rank", *FIB, "--prime", "91"], "91 is not prime"),
+    ],
+    ids=["bad-q", "nonpositive-discriminant", "square-discriminant", "zero-a", "composite-prime"],
+)
+def test_bad_input_is_usage_error(capsys, argv, message):
+    assert run_cli(capsys, argv) == (2, "", f"parameter error: {message}\n")
 
 
 def test_nonpositive_max_is_usage_error(capsys):
@@ -608,6 +617,13 @@ def test_console_script_smoke():
     assert proc.stdout.splitlines() == ["1 1", "2 1", "3 2", "4 3", "5 5"]
 
 
+def test_terms_past_the_default_int_digit_limit_print(capsys):
+    # U_1500 of (1000, 1) has 4,498 digits; the default int-to-str limit is 4,300.
+    code, out, err = run_cli(capsys, ["seq", "--p", "1000", "--q", "1", "--max", "1500"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == f"1500 {lucas_u(validate_params(1000, 1), 1500)}"
+
+
 def test_console_main_exits_with_the_code_of_main(capsys, monkeypatch):
     """``console_main`` is the installed ``lucasprod`` script: it reads
     sys.argv and turns main's return value into the process exit status."""
@@ -636,9 +652,18 @@ def test_corrupt_cache_record_is_refused(tmp_path, capsys, monkeypatch):
             (1, "rejected: product class 5 differs from the coefficient class 15\n"),
             "base 15 is not prime",
         ),
+        # 2^(10^12) would take far more memory than the run has; the record is refused first.
+        (
+            "8 1 2^1000000000000",
+            ["admissible", *FIB, "--a", "2", "--k", "3", "--max", "12"],
+            (0, "2 3 6\n"),
+            "record exceeds |8| at 2^1000000000000",
+        ),
+        # A non-ASCII byte makes the record malformed, named like any other.
+        ("6 1 2^1 3^\u00e9", ["admissible", *FIB, "--a", "6", "--k", "3", "--max", "30"], (0, "2 3 4 6 12\n"), "malformed"),
     ):
         assert run_cli(capsys, argv)[:2] == honest
-        bad.write_text(record + "\n", encoding="ascii")
+        bad.write_text(record + "\n", encoding="utf-8")
         code, out, err = run_cli(capsys, [*argv, "--cache", str(bad)])
         assert (code, out) == (2, ""), record
         assert f"bad.cache:1: {complaint}" in err

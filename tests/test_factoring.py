@@ -8,7 +8,6 @@ import pytest
 
 from lucasprod import (
     FactorCache,
-    ZeroInput,
     factoring,
     factorize,
     power_free_part,
@@ -32,7 +31,7 @@ def test_small_known_values():
     assert (fac.sign, fac.factors) == (-1, {7: 1})
     assert factorize(1).factors == {}
     assert factorize(-1).sign == -1
-    with pytest.raises(ZeroInput):
+    with pytest.raises(ValueError, match="^factorization input must be nonzero$"):
         factorize(0)
 
 
@@ -347,8 +346,12 @@ def test_cache_rejects_malformed_lines(tmp_path):
         ("4 1 2^2 2^2", "prime 2 is repeated"),  # a dict would keep one 2^2
         ("8 1 8^1", "base 8 is not prime"),
         ("10002200057 1 10002200057^1", "base 10002200057 is not prime"),  # 100003 * 100019
+        ("8 1 2^1000000000000", "exceeds"),  # refused before the power is taken
     ],
-    ids=["sign", "exponent", "base", "repeated-prime", "composite-base", "composite-base-above-trial-limit"],
+    ids=[
+        "sign", "exponent", "base", "repeated-prime", "composite-base", "composite-base-above-trial-limit",
+        "huge-exponent",
+    ],
 )
 def test_cache_rejects_corrupt_records(tmp_path, record, complaint):
     path = tmp_path / "corrupt.cache"

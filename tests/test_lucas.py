@@ -6,9 +6,6 @@ import random
 import pytest
 
 from lucasprod import (
-    BadQ,
-    NonpositiveDiscriminant,
-    SquareDiscriminant,
     lucas_range,
     lucas_u,
     validate_params,
@@ -28,17 +25,17 @@ def test_validate_accepts_classical_pairs():
 
 def test_validate_rejects_bad_q():
     for q in (0, 2, -2, 7):
-        with pytest.raises(BadQ):
+        with pytest.raises(ValueError, match=f"^q must be \\+1 or -1, got {q}$"):
             validate_params(1, q)
 
 
 def test_validate_rejects_degenerate_discriminants():
-    with pytest.raises(NonpositiveDiscriminant):
-        validate_params(1, -1)  # delta = -3
-    with pytest.raises(NonpositiveDiscriminant):
-        validate_params(2, -1)  # delta = 0
-    with pytest.raises(SquareDiscriminant):
-        validate_params(0, 1)  # delta = 4
+    with pytest.raises(ValueError, match=r"^discriminant p\^2 \+ 4q = -3 is not positive$"):
+        validate_params(1, -1)
+    with pytest.raises(ValueError, match=r"^discriminant p\^2 \+ 4q = 0 is not positive$"):
+        validate_params(2, -1)
+    with pytest.raises(ValueError, match=r"^discriminant 4 is a perfect square \(degenerate\)$"):
+        validate_params(0, 1)
 
 
 def test_first_terms_match_recurrence():

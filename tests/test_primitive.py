@@ -5,7 +5,6 @@ import pytest
 from lucasprod import (
     FactorCache,
     NotFoundWithinBound,
-    NotPrime,
     ObstructionVerdict,
     ProductEquation,
     enumerate_solutions,
@@ -50,7 +49,7 @@ def test_rank_at_discriminant_primes(fib, pell):
 
 def test_rank_rejects_composites(fib):
     for bad in (1, 4, 0, -7, 91):
-        with pytest.raises(NotPrime):
+        with pytest.raises(ValueError, match=f"^{bad} is not prime$"):
             rank_of_apparition(fib, bad)
 
 
@@ -209,6 +208,8 @@ def test_obstruction_filter_matches_verdict_from_ranks(shared_cache):
 def test_obstruction_filter_validation(fib):
     with pytest.raises(ValueError, match="index must be >= 2, got 1"):
         _judge(fib, 5, 1)
+    with pytest.raises(ValueError, match="^coefficient a must be nonzero$"):
+        _judge(fib, 0, 10)
 
 
 def test_solver_indices_pass_filter(fib, pell, shared_cache):
