@@ -9,7 +9,9 @@ g = gcd(2^L - 1, c) with L = lcm(1..2000): g gathers every prime p of c whose
 order of 2 divides L, every p with p - 1 | L among them, and splits c unless
 it gathers all of its primes or none. The budget counts rho iterations per
 composite, not the step; when it runs out the result is Partial, and callers
-that need completeness get IncompleteFactorization.
+that need completeness get IncompleteFactorization. An iteration is one rho
+sequence step; rho reduces once per two steps, exactly, since the unreduced
+middle term enters only a product read through its gcd with the composite.
 
 The trial tables are built at import with C-level loops: a byte sieve below
 10^5, the 9,592 primes it marks in one machine-int ``array``, and chunks of
@@ -37,7 +39,7 @@ import math
 import os
 from array import array
 from collections import namedtuple
-from itertools import compress
+from itertools import compress, repeat
 
 from .errors import IncompleteFactorization
 from .intmath import integer_kth_root, is_probable_prime, prime_sieve
@@ -228,7 +230,11 @@ def _brent_rho(n: int, budget: int) -> int | None:
     """A nontrivial factor of odd composite n, or None when the budget is spent.
 
     Brent cycle detection with batched gcds; the (start, increment) sequence is
-    fixed, so results are reproducible. ``budget`` caps all restarts' iterations.
+    fixed, so results are reproducible. ``budget`` caps all restarts' iterations,
+    one sequence step each. Steps go two per reduction mod n, an odd count ending
+    with one plain step: t = y*y + c is the next term unreduced, t == y_{i+1}
+    (mod n), and t enters only q, which is read only through gcd(q, n). So ``y``,
+    ``ys``, the gcd points and the returned value are those of reducing every step.
     """
     used = 0
     for c in _RHO_INCREMENTS:
@@ -238,14 +244,21 @@ def _brent_rho(n: int, budget: int) -> int | None:
         while g == 1 and used < budget:
             x = y
             advance = min(r, budget - used)
-            for _ in range(advance):
+            for _ in repeat(None, advance >> 1):
+                t = y * y + c
+                y = (t * t + c) % n
+            if advance & 1:
                 y = (y * y + c) % n
             used += advance
             k = 0
             while k < r and g == 1 and used < budget:
                 ys = y
                 batch = min(_RHO_BATCH, r - k, budget - used)
-                for _ in range(batch):
+                for _ in repeat(None, batch >> 1):
+                    t = y * y + c
+                    y = (t * t + c) % n
+                    q = q * (x - t) * (x - y) % n
+                if batch & 1:
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 used += batch

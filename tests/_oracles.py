@@ -175,3 +175,52 @@ def legendre_by_euler(a, p):
     """Legendre symbol (a/p) for an odd prime p by Euler's criterion."""
     r = pow(a, (p - 1) // 2, p)
     return 0 if r == 0 else 1 if r == 1 else -1
+
+
+# lucasprod.factoring's Brent rho as it was when it reduced mod n after every
+# sequence step, with the package's fixed increments and batch size restated.
+# The package's kernel must return the same value for every (n, budget).
+_RHO_INCREMENTS = (1, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+_RHO_BATCH = 128
+
+
+def brent_rho_reference(n: int, budget: int) -> int | None:
+    """A nontrivial factor of odd composite n, or None when the budget is spent.
+
+    Brent cycle detection with batched gcds; the (start, increment) sequence is
+    fixed, so results are reproducible. ``budget`` caps all restarts' iterations.
+    """
+    used = 0
+    for c in _RHO_INCREMENTS:
+        y, r, q = 2, 1, 1
+        g = 1
+        x = ys = y
+        while g == 1 and used < budget:
+            x = y
+            advance = min(r, budget - used)
+            for _ in range(advance):
+                y = (y * y + c) % n
+            used += advance
+            k = 0
+            while k < r and g == 1 and used < budget:
+                ys = y
+                batch = min(_RHO_BATCH, r - k, budget - used)
+                for _ in range(batch):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                used += batch
+                g = math.gcd(q, n)
+                k += batch
+            r *= 2
+        if g == 1:
+            return None  # budget exhausted mid-cycle
+        if g == n:
+            # The batched gcd collapsed; replay one step at a time.
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+        # g == n even stepwise: retry with the next increment.
+    return None

@@ -694,7 +694,7 @@ _RUN_CACHE_CASES = [
 
 
 class _CountedModulus(int):
-    """A modulus that counts the reductions taken by it, each rho step's work."""
+    """A modulus that counts the reductions taken by it, rho's work."""
 
     def __rmod__(self, other):
         self.reductions += 1

@@ -1,7 +1,10 @@
 """Factorization pipeline: trial division, Brent rho, power peeling, cache."""
 
+import inspect
+import itertools
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -15,7 +18,13 @@ from lucasprod import (
 from lucasprod.factoring import TRIAL_DIVISION_LIMIT
 from lucasprod.intmath import is_probable_prime
 
-from _oracles import kth_power_free_part, power_free_by_scan, primes_below, trial_factorize
+from _oracles import (
+    brent_rho_reference,
+    kth_power_free_part,
+    power_free_by_scan,
+    primes_below,
+    trial_factorize,
+)
 
 
 def _next_prime(n):
@@ -244,6 +253,94 @@ def test_budget_exhaustion_is_partial_not_wrong():
     assert fac.value() == n
     full = factorize(n)
     assert full.complete and full.factors == {p: 1, q: 1}
+
+
+# The composites solve-cold's past-reach calls leave whole at --budget 100000.
+_STUCK_COMPOSITES = (
+    1044281164032942541,
+    19740274219868223167,
+    2808114166320660573949,
+    676619841275899608114721,
+)
+# Budgets at and around the batch size, its powers of two, and odd ends.
+_RHO_EDGE_BUDGETS = (0, 1, 2, 3, 127, 128, 129, 255, 256, 257, 4097, 30001)
+
+
+def _seeded_semiprimes():
+    """{bits: p*q} for p and q of about half the bits each, bits 20..60."""
+    rng = random.Random(0x5EED)
+    semiprimes = {}
+    for bits in range(20, 61, 4):
+        half = bits // 2
+        p = _next_prime(rng.getrandbits(half) | 1 << (half - 1))
+        q = _next_prime(rng.getrandbits(bits - half) | 1 << (bits - half - 1))
+        semiprimes[bits] = p * q
+    return semiprimes
+
+
+def _reference_line_counts(n, budget):
+    """How often each source line of brent_rho_reference(n, budget) runs."""
+    code = brent_rho_reference.__code__
+    source, first = inspect.getsourcelines(brent_rho_reference)
+    hits = Counter()
+
+    def count_line(frame, event, arg):
+        if event == "line":
+            hits[source[frame.f_lineno - first].strip()] += 1
+        return count_line
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count_line if frame.f_code is code else None)
+    try:
+        brent_rho_reference(n, budget)
+    finally:
+        sys.settrace(previous)
+    return hits
+
+
+def _reference_path_composites(budget):
+    """(n whose reference run replays a collapsed batch stepwise, n whose run
+    moves on to the second increment), the first odd composites below 2^16
+    that a seeded draw meets."""
+    rng = random.Random(0xC011A)
+    replay = second = None
+    for _ in range(2000):
+        n = rng.randrange(3, 1 << 16) | 1
+        if is_probable_prime(n):
+            continue
+        hits = _reference_line_counts(n, budget)
+        if replay is None and hits["ys = (ys * ys + c) % n"]:
+            replay = n
+        if second is None and hits["y, r, q = 2, 1, 1"] >= 2:
+            second = n
+        if replay and second:
+            return replay, second
+    raise AssertionError("the seeded draw met no composite on one of the two paths")
+
+
+def test_brent_rho_matches_the_one_reduction_per_step_reference():
+    """Two sequence steps per reduction return exactly what one step per
+    reduction returns: the factor, the replay and the exhaustion point."""
+    replay, second = _reference_path_composites(4097)
+    cases = [(n, budget) for n in _STUCK_COMPOSITES for budget in (100_000, 7, 129)]
+    cases += [(n, budget) for n in _seeded_semiprimes().values() for budget in _RHO_EDGE_BUDGETS]
+    cases += [(replay, 4097), (second, 4097)]
+    rng = random.Random(0x2E0)  # small odd composites, where replays and restarts are common
+    odd = (rng.randrange(9, 1 << rng.randrange(8, 41)) | 1 for _ in range(700))
+    cases += [(n, rng.choice(_RHO_EDGE_BUDGETS)) for n in odd if not is_probable_prime(n)]
+    for n, budget in cases:
+        assert factoring._brent_rho(n, budget) == brent_rho_reference(n, budget), (n, budget)
+
+
+def test_rho_budget_counts_sequence_steps():
+    """The kernel fails one step below the smallest budget at which the
+    reference finds a factor, and succeeds at it."""
+    semiprimes = _seeded_semiprimes()
+    for bits in (24, 28, 36):
+        n = semiprimes[bits]
+        smallest = next(b for b in itertools.count() if brent_rho_reference(n, b) is not None)
+        assert factoring._brent_rho(n, smallest - 1) is None, (n, smallest)
+        assert factoring._brent_rho(n, smallest) == brent_rho_reference(n, smallest), (n, smallest)
 
 
 def test_factorize_is_deterministic():
