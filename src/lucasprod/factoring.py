@@ -10,8 +10,10 @@ order of 2 divides L, every p with p - 1 | L among them, and splits c unless
 it gathers all of its primes or none. The budget counts rho iterations per
 composite, not the step; when it runs out the result is Partial, and callers
 that need completeness get IncompleteFactorization. An iteration is one rho
-sequence step; rho reduces once per two steps, exactly, since the unreduced
-middle term enters only a product read through its gcd with the composite.
+sequence step. Rho reduces the sequence every step, and its product of
+differences once per four steps: the product is reduced before every gcd, so
+it is the one that reducing every step gives, and no operand grows past
+five times the composite's width.
 
 The trial tables are built at import with C-level loops: a byte sieve below
 10^5, the 9,592 primes it marks in one machine-int ``array``, and chunks of
@@ -231,10 +233,10 @@ def _brent_rho(n: int, budget: int) -> int | None:
 
     Brent cycle detection with batched gcds; the (start, increment) sequence is
     fixed, so results are reproducible. ``budget`` caps all restarts' iterations,
-    one sequence step each. Steps go two per reduction mod n, an odd count ending
-    with one plain step: t = y*y + c is the next term unreduced, t == y_{i+1}
-    (mod n), and t enters only q, which is read only through gcd(q, n). So ``y``,
-    ``ys``, the gcd points and the returned value are those of reducing every step.
+    one sequence step each. ``y`` is reduced mod n every step, and ``q`` takes
+    four steps' differences per reduction, the steps left of a batch one by one.
+    q is reduced before each gcd, so every gcd, and the returned value, are those
+    of reducing q every step.
     """
     used = 0
     for c in _RHO_INCREMENTS:
@@ -244,21 +246,20 @@ def _brent_rho(n: int, budget: int) -> int | None:
         while g == 1 and used < budget:
             x = y
             advance = min(r, budget - used)
-            for _ in repeat(None, advance >> 1):
-                t = y * y + c
-                y = (t * t + c) % n
-            if advance & 1:
+            for _ in repeat(None, advance):
                 y = (y * y + c) % n
             used += advance
             k = 0
             while k < r and g == 1 and used < budget:
                 ys = y
                 batch = min(_RHO_BATCH, r - k, budget - used)
-                for _ in repeat(None, batch >> 1):
-                    t = y * y + c
-                    y = (t * t + c) % n
-                    q = q * (x - t) * (x - y) % n
-                if batch & 1:
+                for _ in repeat(None, batch >> 2):
+                    t = (y * y + c) % n
+                    u = (t * t + c) % n
+                    v = (u * u + c) % n
+                    y = (v * v + c) % n
+                    q = q * (x - t) * (x - u) * (x - v) * (x - y) % n
+                for _ in repeat(None, batch & 3):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 used += batch

@@ -177,8 +177,8 @@ def legendre_by_euler(a, p):
     return 0 if r == 0 else 1 if r == 1 else -1
 
 
-# lucasprod.factoring's Brent rho as it was when it reduced mod n after every
-# sequence step, with the package's fixed increments and batch size restated.
+# lucasprod.factoring's Brent rho as it was when it reduced its gcd product mod n
+# after every sequence step, with the package's increments and batch size restated.
 # The package's kernel must return the same value for every (n, budget).
 _RHO_INCREMENTS = (1, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 _RHO_BATCH = 128

@@ -318,29 +318,25 @@ def _reference_path_composites(budget):
     raise AssertionError("the seeded draw met no composite on one of the two paths")
 
 
-def test_brent_rho_matches_the_one_reduction_per_step_reference():
-    """Two sequence steps per reduction return exactly what one step per
-    reduction returns: the factor, the replay and the exhaustion point."""
+def test_brent_rho_matches_the_reduce_every_step_reference():
+    """Four differences per reduction of the gcd product return exactly what
+    reducing it every step returns: the factor, the replay and the exhaustion
+    point. One step below the first budget that finds a factor must still
+    fail, so ``--budget`` counts sequence steps."""
     replay, second = _reference_path_composites(4097)
     cases = [(n, budget) for n in _STUCK_COMPOSITES for budget in (100_000, 7, 129)]
-    cases += [(n, budget) for n in _seeded_semiprimes().values() for budget in _RHO_EDGE_BUDGETS]
+    semiprimes = _seeded_semiprimes()
+    cases += [(n, budget) for n in semiprimes.values() for budget in _RHO_EDGE_BUDGETS]
+    for bits in (24, 28, 36):
+        n = semiprimes[bits]
+        smallest = next(b for b in itertools.count() if brent_rho_reference(n, b) is not None)
+        cases += [(n, smallest - 1), (n, smallest)]
     cases += [(replay, 4097), (second, 4097)]
     rng = random.Random(0x2E0)  # small odd composites, where replays and restarts are common
     odd = (rng.randrange(9, 1 << rng.randrange(8, 41)) | 1 for _ in range(700))
     cases += [(n, rng.choice(_RHO_EDGE_BUDGETS)) for n in odd if not is_probable_prime(n)]
     for n, budget in cases:
         assert factoring._brent_rho(n, budget) == brent_rho_reference(n, budget), (n, budget)
-
-
-def test_rho_budget_counts_sequence_steps():
-    """The kernel fails one step below the smallest budget at which the
-    reference finds a factor, and succeeds at it."""
-    semiprimes = _seeded_semiprimes()
-    for bits in (24, 28, 36):
-        n = semiprimes[bits]
-        smallest = next(b for b in itertools.count() if brent_rho_reference(n, b) is not None)
-        assert factoring._brent_rho(n, smallest - 1) is None, (n, smallest)
-        assert factoring._brent_rho(n, smallest) == brent_rho_reference(n, smallest), (n, smallest)
 
 
 def test_factorize_is_deterministic():
