@@ -59,7 +59,7 @@ def field_discriminant(delta: int, cache: FactorCache | None = None) -> int:
     """Discriminant of Q(sqrt(delta)): d or 4d, d the squarefree part of delta."""
     if delta <= 0:
         raise ValueError(f"discriminant p^2 + 4q = {delta} is not positive")
-    d = power_free_part(delta, 2, cache=cache).e
+    d = factorize(delta, cache=cache).power_free(2)[0].value()
     if d == 1:
         raise ValueError(f"discriminant {delta} is a perfect square (degenerate)")
     return d if d % 4 == 1 else 4 * d

@@ -20,13 +20,13 @@ Each run builds one FactorCache, its only factoring context: it carries the
 --budget, in rho iterations per composite, and holds every factorization the
 run computes, so each integer is factored once per run. A --k below 2, an
 --a of 0, a bad --p or --q and a negative --budget exit 2 before the cache
-file is read or written. It is backed by the --cache file, else the file
-named by LUCAS_FACTOR_CACHE, else by nothing; seq and rank never load the
-file. A file record is checked when the run first reads it, so a corrupt
-record that the run reads exits 2 naming ``file:line``, and one it never
-reads is neither checked nor reported. The k-free parts and roots derived
-from a factorization are held in memory only; the file receives only the
-records that factoring computed.
+file is read or written. It is backed by the --cache file, else by nothing
+(no environment variable names a file); seq and rank never load the file.
+A file record is checked when the run first reads it, so a corrupt record
+that the run reads exits 2 naming ``file:line``, and one it never reads is
+neither checked nor reported. The k-free parts and roots derived from a
+factorization are held in memory only; the file receives only the records
+that factoring computed.
 
 classify, abc-quality and primitive factor each term U_n with
 ``primitive.factor_term``, which divides out the primes of every U_{n/l} (l
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .abc_evidence import quality_report
@@ -59,8 +58,6 @@ from .solver import (
     enumerate_solutions,
     verify_solution,
 )
-
-CACHE_ENV_VAR = "LUCAS_FACTOR_CACHE"
 
 _Output = tuple[list, list[str]]
 
@@ -204,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", type=int, required=True, help="recurrence coefficient P")
         sp.add_argument("--q", type=int, required=True, help="recurrence coefficient Q, +1 or -1")
         sp.add_argument("--json", action="store_true", dest="as_json", help="emit one JSON record")
-        sp.add_argument("--cache", default=None, help="factor cache file (overrides LUCAS_FACTOR_CACHE)")
+        sp.add_argument("--cache", default=None, help="factor cache file")
         sp.add_argument("--budget", type=int, default=DEFAULT_RHO_BUDGET, help="rho iterations per composite")
         # a and k are in every JSON record's params, also where no flag sets them.
         sp.set_defaults(runner=runner, a=None, k=2)
@@ -256,10 +253,8 @@ def run(args: argparse.Namespace) -> int:
         raise ValueError(f"k must be >= 2, got {args.k}")
     if args.a == 0:
         raise ValueError("coefficient a must be nonzero")
-    path = None
     # seq factors nothing and rank one number, so neither loads the file.
-    if args.subcommand not in ("seq", "rank"):
-        path = args.cache or os.environ.get(CACHE_ENV_VAR) or None
+    path = None if args.subcommand in ("seq", "rank") else args.cache or None
     params = validate_params(args.p, args.q)  # before the cache file is read
     cache = FactorCache(path, budget=args.budget)
     code, error = 0, None

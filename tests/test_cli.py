@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import re
 import shutil
 import subprocess
@@ -29,7 +28,7 @@ from lucasprod import (
     primitive,
     solver,
 )
-from lucasprod.cli import CACHE_ENV_VAR, main
+from lucasprod.cli import main
 from lucasprod.factoring import factorize, power_free_part
 from lucasprod.lucas import lucas_u, validate_params
 
@@ -235,8 +234,7 @@ def test_rank_budget_reaches_factoring_of_p_minus_symbol(capsys):
     assert out.strip() == f"z({prime}) = 20000000004400000000114"
 
 
-def test_rank_and_seq_never_load_the_cache(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+def test_rank_and_seq_never_load_the_cache(tmp_path, capsys):
     bad = tmp_path / "bad.cache"
     for text, complaint in (
         # classify --max 6 reads U_6 = 8 and rank --prime 11 would read 11 - 1 = 10.
@@ -251,8 +249,7 @@ def test_rank_and_seq_never_load_the_cache(tmp_path, capsys, monkeypatch):
         assert code == 2 and complaint in err
 
 
-def test_unread_corrupt_record_does_not_stop_a_run(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+def test_unread_corrupt_record_does_not_stop_a_run(tmp_path, capsys):
     argv = ["classify", *FIB, "--max", "5"]
     honest = run_cli(capsys, argv)
     assert honest[0] == 0
@@ -308,8 +305,7 @@ def test_classify_rejects_k_below_two(capsys):
     assert err == "parameter error: k must be >= 2, got 1\n"
 
 
-def test_bad_q_is_rejected_before_the_cache_file(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+def test_bad_q_is_rejected_before_the_cache_file(tmp_path, capsys):
     bad = tmp_path / "bad.cache"
     bad.write_text("x 1 2^1\n", encoding="ascii")
     for path in (bad, tmp_path):  # a malformed record, then a directory
@@ -336,8 +332,7 @@ def test_negative_budget_is_rejected(capsys):
     )
 
 
-def test_bad_k_is_rejected_before_the_cache_file(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+def test_bad_k_is_rejected_before_the_cache_file(tmp_path, capsys):
     path = tmp_path / "f.cache"
     for argv in (
         ["classify", *FIB, "--max", "6"],
@@ -351,8 +346,7 @@ def test_bad_k_is_rejected_before_the_cache_file(tmp_path, capsys, monkeypatch):
         assert not path.exists(), argv
 
 
-def test_unusable_cache_path_exits_two(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+def test_unusable_cache_path_exits_two(tmp_path, capsys):
     # A directory fails when the cache is read, a missing directory at the first append.
     for path in (tmp_path, tmp_path / "missing" / "f.cache"):
         code, out, err = run_cli(capsys, ["classify", *FIB, "--max", "5", "--cache", str(path)])
@@ -447,8 +441,7 @@ def test_primitive_rejects_zero_coefficient(capsys):
         ["verify", "--indices", "2"],
     ],
 )
-def test_zero_coefficient_is_rejected_before_the_cache_file(tmp_path, capsys, monkeypatch, argv):
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+def test_zero_coefficient_is_rejected_before_the_cache_file(tmp_path, capsys, argv):
     path = tmp_path / "F"
     code, out, err = run_cli(capsys, [*argv, *FIB, "--a", "0", "--cache", str(path)])
     assert (code, out) == (2, "")
@@ -465,8 +458,7 @@ def test_abc_quality_table_depends_only_on_abs_p(capsys, p, q):
     assert run_cli(capsys, [*argv, "--p", str(-p)]) == positive
 
 
-def test_primitive_filter_below_index_two_is_rejected_before_the_cache_file(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+def test_primitive_filter_below_index_two_is_rejected_before_the_cache_file(tmp_path, capsys):
     path = tmp_path / "F"
     code, out, err = run_cli(capsys, ["primitive", *FIB, "--n", "1", "--a", "5", "--cache", str(path)])
     assert (code, out) == (2, "")
@@ -520,8 +512,7 @@ def test_reruns_are_byte_identical(capsys):
         assert first[0] == 0
 
 
-def test_cache_flag_persists_factorizations(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+def test_cache_flag_persists_factorizations(tmp_path, capsys):
     path = tmp_path / "facts.txt"
     first = run_cli(capsys, ["classify", *FIB, "--max", "15", "--cache", str(path)])
     assert first[0] == 0
@@ -577,9 +568,8 @@ def test_primitive_builds_the_prime_table_once(capsys, monkeypatch):
     assert factored and 7 not in factored
 
 
-def test_obstruction_filter_factors_no_p_minus_symbol(tmp_path, capsys, monkeypatch):
+def test_obstruction_filter_factors_no_p_minus_symbol(tmp_path, capsys):
     # 13 - (5/13) = 14: z(13) = 7. The filter factors neither A = 13 nor 14.
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     path = tmp_path / "filter.cache"
     code, out, _ = run_cli(capsys, ["primitive", *FIB, "--n", "10", "--a", "13", "--cache", str(path)])
     assert code == 0 and out.splitlines()[-1].startswith("verdict=excluded")
@@ -587,22 +577,16 @@ def test_obstruction_filter_factors_no_p_minus_symbol(tmp_path, capsys, monkeypa
     assert 13 not in records and 14 not in records
 
 
-def test_cache_env_var_is_honored(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "env_cache.txt"
-    monkeypatch.setenv(CACHE_ENV_VAR, str(path))
-    code, _, _ = run_cli(capsys, ["classify", *FIB, "--max", "10"])
-    assert code == 0
-    assert path.exists()
-
-
-def test_cache_flag_overrides_env_var(tmp_path, capsys, monkeypatch):
-    env_path = tmp_path / "ignored.txt"
-    flag_path = tmp_path / "chosen.txt"
-    monkeypatch.setenv(CACHE_ENV_VAR, str(env_path))
-    code, _, _ = run_cli(capsys, ["classify", *FIB, "--max", "10", "--cache", str(flag_path)])
-    assert code == 0
-    assert flag_path.exists()
-    assert not env_path.exists()
+def test_environment_names_no_cache_file(tmp_path, capsys, monkeypatch):
+    """Only --cache names a cache file. The environment variable that once
+    named one, pointed at a corrupt record the run would read, neither
+    changes the answer nor gets the run's records."""
+    path = tmp_path / "env.cache"
+    path.write_text("8 1 8^1\n", encoding="ascii")
+    monkeypatch.setenv("LUCAS_FACTOR_CACHE", str(path))
+    argv = ["admissible", *FIB, "--a", "2", "--k", "3", "--max", "12"]
+    assert run_cli(capsys, argv) == (0, "2 3 6\n", "")
+    assert path.read_text(encoding="ascii") == "8 1 8^1\n"
 
 
 def test_console_script_smoke():
@@ -611,8 +595,7 @@ def test_console_script_smoke():
         argv = [exe, "seq", *FIB, "--max", "5"]
     else:
         argv = [sys.executable, "-m", "lucasprod.cli", "seq", *FIB, "--max", "5"]
-    env = {k: v for k, v in os.environ.items() if k != CACHE_ENV_VAR}
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["1 1", "2 1", "3 2", "4 3", "5 5"]
 
@@ -627,7 +610,6 @@ def test_terms_past_the_default_int_digit_limit_print(capsys):
 def test_console_main_exits_with_the_code_of_main(capsys, monkeypatch):
     """``console_main`` is the installed ``lucasprod`` script: it reads
     sys.argv and turns main's return value into the process exit status."""
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     for q, status in (("1", 0), ("2", 2)):
         monkeypatch.setattr(sys, "argv", ["lucasprod", "seq", "--p", "1", "--q", q, "--max", "5"])
         with pytest.raises(SystemExit) as exit_info:
@@ -637,14 +619,17 @@ def test_console_main_exits_with_the_code_of_main(capsys, monkeypatch):
         assert out.splitlines() == (["1 1", "2 1", "3 2", "4 3", "5 5"] if status == 0 else [])
 
 
-def test_corrupt_cache_record_is_refused(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+def test_corrupt_cache_record_is_refused(tmp_path, capsys):
+    verify_u6 = ["verify", *FIB, "--a", "2", "--k", "3", "--indices", "6"]
+    not_a_cube = "rejected: quotient is not a perfect 3-th power\n"
     bad = tmp_path / "bad.cache"
     for record, argv, honest, complaint in (
         # 3 * 2 = 6, but 3 is not a sign.
         ("6 3 2^1", ["admissible", *FIB, "--a", "6", "--k", "3", "--max", "30"], (0, "2 3 4 6 12\n"), "sign 3"),
         # Read as the factorization of 8, it hides the cube 2^3 = U_6 from A = 2.
         ("8 1 8^1", ["admissible", *FIB, "--a", "2", "--k", "3", "--max", "12"], (0, "2 3 6\n"), "base 8 is not prime"),
+        # verify reads U_6 = 8 too, also once admissible no longer factors terms.
+        ("8 1 8^1", verify_u6, (1, not_a_cube), "base 8 is not prime"),
         # Read as the factorization of A = 15, it puts U_5 = 5 outside Supp(A).
         (
             "15 1 15^1",
@@ -659,6 +644,7 @@ def test_corrupt_cache_record_is_refused(tmp_path, capsys, monkeypatch):
             (0, "2 3 6\n"),
             "record exceeds |8| at 2^1000000000000",
         ),
+        ("8 1 2^1000000000000", verify_u6, (1, not_a_cube), "record exceeds |8| at 2^1000000000000"),
         # A non-ASCII byte makes the record malformed, named like any other.
         ("6 1 2^1 3^\u00e9", ["admissible", *FIB, "--a", "6", "--k", "3", "--max", "30"], (0, "2 3 4 6 12\n"), "malformed"),
     ):
@@ -670,7 +656,6 @@ def test_corrupt_cache_record_is_refused(tmp_path, capsys, monkeypatch):
 
 
 def test_no_cache_named_writes_no_file(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     for argv in (
         ["classify", *FIB, "--max", "20"],
@@ -706,7 +691,6 @@ def test_run_cache_factors_each_term_once(capsys, monkeypatch):
     rho work (reductions mod the composite) of factoring each of its terms
     bare; on the deep (6,1) window, where the split by strong divisibility
     removes the primes of U_{n/l} before rho, it spends less."""
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     rho_work = []
     real_rho = factoring._brent_rho
 
@@ -738,7 +722,6 @@ def test_partial_split_exits_without_factoring_the_term_again(capsys, monkeypatc
     spending the budget a second time on the whole term. When a sub-term
     U_d, d | n, is the one stuck, the exit names d and rho never sees its
     leftover composite again in a term above it."""
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     rho_work = []
     real_rho = factoring._brent_rho
 
@@ -772,8 +755,7 @@ def _without_primes_of(value: int, other: int) -> int:
     return value
 
 
-def test_cache_file_gets_only_computed_records(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+def test_cache_file_gets_only_computed_records(tmp_path, capsys):
     path = tmp_path / "facts.cache"
     argv = ["abc-quality", "--p", "6", "--q", "1", "--from", "46", "--to", "53", "--budget", "100000"]
     assert run_cli(capsys, [*argv, "--cache", str(path)])[0] == 0
@@ -800,7 +782,6 @@ def test_cache_file_gets_only_computed_records(tmp_path, capsys, monkeypatch):
 
 
 def test_stdout_same_without_memory_and_file_cache(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     path = tmp_path / "shared.cache"
     for argv in (
         ["classify", "--p", "6", "--q", "1", "--max", "30", "--k", "3"],

@@ -7,7 +7,7 @@ import shlex
 from pathlib import Path
 
 import lucasprod
-from lucasprod.cli import CACHE_ENV_VAR, main
+from lucasprod.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -36,8 +36,7 @@ def test_readme_library_example_and_exports():
         assert hasattr(lucasprod, name), name
 
 
-def test_readme_cli_examples(capsys, monkeypatch):
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+def test_readme_cli_examples(capsys):
     text = README.read_text(encoding="utf-8")
     section = text[text.index("## Command line") : text.index("### JSON output")]
     examples = re.findall(r"^\$ lucasprod (.+)\n((?:(?!```).+\n)*)", section, re.M)

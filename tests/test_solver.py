@@ -19,6 +19,7 @@ from lucasprod import (
     admissible_indices,
     enumerate_solutions,
     lucas_u,
+    primitive,
     validate_params,
     verify_solution,
 )
@@ -56,6 +57,19 @@ def test_admissible_reports_stuck_index(fib):
         admissible_indices(_eq(fib, 5, 2, 90, 2), cache=FactorCache(budget=50))
     assert info.value.index is not None
     assert info.value.cofactor > 1
+
+
+def test_whole_term_and_split_name_the_same_stuck_composite(fib):
+    # F_77 = 13 * 89 * 988681 * 4832521. Trial division on the whole term and
+    # the split's U_7 = 13 and U_11 = 89 leave the same product of the last
+    # two primes, which rho does not split in 100 steps.
+    for factor in (
+        lambda cache: verify_solution(ProductEquation(fib, 5, 2, 77, 1), (77,), cache=cache),
+        lambda cache: primitive.factor_term(fib, 77, cache),
+    ):
+        with pytest.raises(IncompleteFactorization) as info:
+            factor(FactorCache(budget=100))
+        assert (info.value.index, info.value.cofactor) == (77, 4777821694801)
 
 
 def test_enumeration_matches_bruteforce(fib, pell, shared_cache):
