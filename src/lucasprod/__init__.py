@@ -30,7 +30,6 @@ from .factoring import (
     DEFAULT_RHO_BUDGET,
     FactorCache,
     Factorization,
-    PowerFreeDecomposition,
     factorize,
     power_free_part,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "lucas_range",
     # factoring
     "Factorization",
-    "PowerFreeDecomposition",
     "FactorCache",
     "DEFAULT_RHO_BUDGET",
     "factorize",

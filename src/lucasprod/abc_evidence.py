@@ -90,8 +90,8 @@ def make_binet_triple(params: LucasParams, n: int, k: int, cache: FactorCache | 
     the Binet identity.
     """
     value = lucas_u(params, n)
-    dec = power_free_part(value, k, cache=cache)
-    triple = BinetTriple(n=n, e=dec.e, s=dec.s, k=k)
+    e, s = power_free_part(value, k, cache=cache)
+    triple = BinetTriple(n=n, e=e, s=s, k=k)
     if triple.e * triple.s ** triple.k != value:
         raise ValueError(f"e*s^k = {triple.e}*{triple.s}^{k} does not equal U_{n}")
     if n * math.log(_roots(params)[2]) <= _EMBEDDING_LIMIT_NATS:

@@ -280,14 +280,14 @@ def run(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # terms and --prime may pass 4,300 digits
+    """Run one invocation (``sys.argv`` when argv is None) and return its exit code."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:  # terms and --prime may pass 4,300 digits
         sys.set_int_max_str_digits(0)
     try:
-        args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
+        return run(_build_parser().parse_args(argv))
+    except SystemExit as exc:  # argparse's usage errors and --help
         return int(exc.code or 0)
-    try:
-        return run(args)
     except ValueError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
@@ -297,10 +297,9 @@ def main(argv: list[str] | None = None) -> int:
     except (LucasProdError, OSError) as exc:  # OSError: an unusable --cache file, named in exc
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def console_main() -> None:
-    sys.exit(main())
+    finally:
+        if limit is not None:  # the caller's interpreter keeps its own limit
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -118,12 +118,6 @@ class Factorization(namedtuple("Factorization", "sign factors cofactor", default
         return e, Factorization(1, {p: exp // k for p, exp in self.factors.items() if exp >= k})
 
 
-class PowerFreeDecomposition(namedtuple("PowerFreeDecomposition", "e s")):
-    """N = e * s^k with e k-th-power-free and carrying the sign of N, s >= 1."""
-
-    __slots__ = ()
-
-
 class FactorCache:
     """Store of complete factorizations, and the rho budget to compute them at.
 
@@ -344,8 +338,8 @@ def factorize(n: int, cache: FactorCache | None = None) -> Factorization:
     return result
 
 
-def power_free_part(n: int, k: int, cache: FactorCache | None = None) -> PowerFreeDecomposition:
-    """Unique decomposition n = e * s^k with e k-th-power-free, sign on e.
+def power_free_part(n: int, k: int, cache: FactorCache | None = None) -> tuple[int, int]:
+    """The pair (e, s) of the unique n = e * s^k with e k-th-power-free, sign on e, s >= 1.
 
     The factorizations of e and s read off that of n are kept in the cache's
     memory (never in its file), so factoring them later costs nothing.
@@ -357,4 +351,4 @@ def power_free_part(n: int, k: int, cache: FactorCache | None = None) -> PowerFr
     e, s = e_fac.value(), s_fac.value()
     cache._remember(e, e_fac)
     cache._remember(s, s_fac)
-    return PowerFreeDecomposition(e=e, s=s)
+    return e, s

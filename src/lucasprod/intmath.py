@@ -53,7 +53,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
     passes when U_d = 0 and V_d = +-2, or V_{d * 2^r} = 0 for some r < s - 1
     (mod n), where V_d = 2*U_{d+1} - P*U_d and V_{2m} = V_m^2 - 2.
     """
-    if is_perfect_square(n):
+    if perfect_kth_power_root(n, 2) is not None:
         return False
     p = 3
     while (symbol := jacobi(p * p - 4, n)) == 1:
@@ -106,13 +106,6 @@ def integer_kth_root(n: int, k: int) -> int:
         if y >= x:
             return x
         x = y
-
-
-def is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n
 
 
 def perfect_kth_power_root(n: int, k: int) -> int | None:

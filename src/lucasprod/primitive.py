@@ -61,19 +61,6 @@ def rank_of_apparition(params: LucasParams, p: int, cache: FactorCache | None = 
     return RankOfApparition(p=p, z=z)
 
 
-def _prime_divisors(n: int) -> list[int]:
-    """The distinct primes dividing an index n >= 1, by trial division."""
-    primes = []
-    l = 2
-    while l * l <= n:
-        if n % l == 0:
-            primes.append(l)
-            while n % l == 0:
-                n //= l
-        l += 1
-    return primes + [n] if n > 1 else primes
-
-
 def factor_term(params: LucasParams, n: int, cache: FactorCache | None = None) -> Factorization:
     """Complete factorization of U_n (n >= 1), sending only its primitive part to ``factorize``.
 
@@ -92,7 +79,7 @@ def factor_term(params: LucasParams, n: int, cache: FactorCache | None = None) -
         return fac
     remainder = abs(value)
     factors: dict[int, int] = {}
-    for l in _prime_divisors(n):
+    for l in factorize(n).support():  # the primes of the index; no cache, so no record of n
         for p in factor_term(params, n // l, cache).factors:
             while remainder % p == 0:
                 factors[p] = factors.get(p, 0) + 1
@@ -114,7 +101,7 @@ def primitive_divisors(params: LucasParams, n: int, cache: FactorCache | None = 
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
     fac = factor_term(params, n, cache=cache)
-    inherited = math.prod(lucas_u(params, n // l) for l in _prime_divisors(n))
+    inherited = math.prod(lucas_u(params, n // l) for l in factorize(n).support())
     entries = tuple(
         PrimitiveEntry(prime=p, multiplicity=e, primitive=inherited % p != 0)
         for p, e in sorted(fac.factors.items())

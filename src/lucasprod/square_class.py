@@ -43,7 +43,7 @@ IDENTITY_CLASS = SquareClass(1, ())
 
 def class_of(n: int, cache: FactorCache | None = None) -> SquareClass:
     """Canonical class of n: the sign and primes of its signed squarefree part."""
-    e = power_free_part(n, 2, cache=cache).e
+    e, _ = power_free_part(n, 2, cache=cache)
     sign = 1 if e > 0 else -1
     primes = factorize(e, cache=cache).support() if abs(e) > 1 else ()
     return SquareClass(sign=sign, primes=primes)

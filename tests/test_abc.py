@@ -33,8 +33,8 @@ from _oracles import primes_below
 def test_field_data_examples():
     # delta = conductor^2 * d with d squarefree; the discriminant is d or 4d.
     for delta, d, discriminant, conductor in ((5, 5, 5, 1), (8, 2, 8, 2), (45, 5, 5, 3)):
-        dec = power_free_part(delta, 2)
-        assert (dec.e, field_discriminant(delta), dec.s) == (d, discriminant, conductor)
+        e, s = power_free_part(delta, 2)
+        assert (e, field_discriminant(delta), s) == (d, discriminant, conductor)
 
 
 def test_field_data_rejections():

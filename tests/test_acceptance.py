@@ -34,7 +34,6 @@ from lucasprod import (
     verify_solution,
 )
 from lucasprod.cli import main as cli_main
-from lucasprod.intmath import is_perfect_square
 
 from _oracles import brute_solutions, lucas_values, primes_below, rank_by_bigint
 
@@ -153,7 +152,7 @@ def test_c05_valuation_separation(shared_cache):
 def test_c06_square_fibonacci_scan():
     with report(6, "perfect-square scan of U_n(1,1) for n <= 200 finds exactly n in {1, 2, 12}"):
         us = lucas_range(validate_params(1, 1), 200)
-        squares = [n for n in range(1, 201) if is_perfect_square(us[n])]
+        squares = [n for n in range(1, 201) if math.isqrt(us[n]) ** 2 == us[n]]
         assert squares == [1, 2, 12]
 
 

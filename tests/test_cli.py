@@ -15,6 +15,7 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -604,19 +605,39 @@ def test_terms_past_the_default_int_digit_limit_print(capsys):
     # U_1500 of (1000, 1) has 4,498 digits; the default int-to-str limit is 4,300.
     code, out, err = run_cli(capsys, ["seq", "--p", "1000", "--q", "1", "--max", "1500"])
     assert (code, err) == (0, "")
-    assert out.splitlines()[-1] == f"1500 {lucas_u(validate_params(1000, 1), 1500)}"
+    index, digits = out.splitlines()[-1].split()
+    assert (index, len(digits)) == ("1500", 4498)
+    # Read back in two pieces, each within the limit that int() applies too.
+    assert int(digits[:-4000]) * 10 ** 4000 + int(digits[-4000:]) == lucas_u(validate_params(1000, 1), 1500)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str limit in this interpreter")
+def test_main_leaves_the_int_digit_limit_as_it_found_it(capsys):
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the default, whatever an earlier call left
+    try:
+        for argv, status in (
+            (["seq", "--p", "1000", "--q", "1", "--max", "1500"], 0),
+            (["seq", "--p", "1", "--q", "2", "--max", "5"], 2),
+            (["seq", "--p", "1"], 2),
+        ):
+            assert run_cli(capsys, argv)[0] == status
+            assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 def test_console_main_exits_with_the_code_of_main(capsys, monkeypatch):
-    """``console_main`` is the installed ``lucasprod`` script: it reads
-    sys.argv and turns main's return value into the process exit status."""
+    """The installed ``lucasprod`` script is ``lucasprod.cli:main``: with no
+    argv, main reads sys.argv, and the script's wrapper exits with the code
+    main returns."""
     for q, status in (("1", 0), ("2", 2)):
         monkeypatch.setattr(sys, "argv", ["lucasprod", "seq", "--p", "1", "--q", q, "--max", "5"])
-        with pytest.raises(SystemExit) as exit_info:
-            cli.console_main()
-        assert exit_info.value.code == status
+        assert cli.main() == status
         out = capsys.readouterr().out
         assert out.splitlines() == (["1 1", "2 1", "3 2", "4 3", "5 5"] if status == 0 else [])
+    pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^\[project\.scripts\]\nlucasprod = "lucasprod\.cli:main"$', pyproject, re.M)
 
 
 def test_corrupt_cache_record_is_refused(tmp_path, capsys):
@@ -776,8 +797,7 @@ def test_cache_file_gets_only_computed_records(tmp_path, capsys):
     assert sorted(records) == sorted(written | {params.delta})
     derived = set()
     for n in range(46, 54):
-        dec = power_free_part(lucas_u(params, n), 2)
-        derived.update((dec.e, dec.s))
+        derived.update(power_free_part(lucas_u(params, n), 2))
     assert derived - set(records)  # the run derived e and s it did not write
 
 

@@ -353,17 +353,17 @@ def test_power_free_part_against_oracles():
     for _ in range(400):
         n = rng.randrange(2, 10 ** 6) * rng.choice((1, -1))
         k = rng.choice((2, 3, 4, 5))
-        dec = power_free_part(n, k)
-        assert dec.e * dec.s ** k == n
-        assert (dec.e, dec.s) == power_free_by_scan(n, k)
-        assert (dec.e, dec.s) == kth_power_free_part(n, k)
+        e, s = power_free_part(n, k)
+        assert e * s ** k == n
+        assert (e, s) == power_free_by_scan(n, k)
+        assert (e, s) == kth_power_free_part(n, k)
 
 
 def test_power_free_part_known_values():
-    assert (power_free_part(144, 2).e, power_free_part(144, 2).s) == (1, 12)
-    assert (power_free_part(8, 3).e, power_free_part(8, 3).s) == (1, 2)
-    assert (power_free_part(-18, 2).e, power_free_part(-18, 2).s) == (-2, 3)
-    assert (power_free_part(5, 2).e, power_free_part(5, 2).s) == (5, 1)
+    assert power_free_part(144, 2) == (1, 12)
+    assert power_free_part(8, 3) == (1, 2)
+    assert power_free_part(-18, 2) == (-2, 3)
+    assert power_free_part(5, 2) == (5, 1)
     for bad_k in (1, 0, -2):
         with pytest.raises(ValueError):
             power_free_part(10, bad_k)
@@ -385,7 +385,7 @@ def test_power_free_split_of_a_factorization_matches_power_free_part():
     for n in (144, 8, -18, 5, -(2 ** 7 * 3 ** 2 * 5 * 7 ** 4), 1, -1):
         for k in (2, 3, 4):
             e, s = factorize(n).power_free(k)
-            assert (e.value(), s.value()) == (power_free_part(n, k).e, power_free_part(n, k).s)
+            assert (e.value(), s.value()) == power_free_part(n, k)
             assert e.value() * s.value() ** k == n
     with pytest.raises(ValueError, match="k must be >= 2, got 1"):
         factorize(10).power_free(1)
@@ -518,10 +518,10 @@ def test_power_free_part_keeps_derived_records_in_memory(tmp_path):
     path = tmp_path / "derived.cache"
     cache = FactorCache(str(path))
     n = -(2 ** 7 * 3 ** 2 * 5 * 7 ** 4)
-    dec = power_free_part(n, 3, cache=cache)
-    assert (dec.e, dec.s) == (-(2 * 3 ** 2 * 5 * 7), 2 ** 2 * 7)
-    assert power_free_part(n, 3) == dec
-    e_fac, s_fac = cache.get(dec.e), cache.get(dec.s)
+    e, s = power_free_part(n, 3, cache=cache)
+    assert (e, s) == (-(2 * 3 ** 2 * 5 * 7), 2 ** 2 * 7)
+    assert power_free_part(n, 3) == (e, s)
+    e_fac, s_fac = cache.get(e), cache.get(s)
     assert (e_fac.sign, e_fac.factors, e_fac.cofactor) == (-1, {2: 1, 3: 2, 5: 1, 7: 1}, 1)
     assert (s_fac.sign, s_fac.factors, s_fac.cofactor) == (1, {2: 2, 7: 1}, 1)
     # Only what factorize computed reaches the file.

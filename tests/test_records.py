@@ -16,7 +16,6 @@ from lucasprod import (
     class_of,
     factorize,
     obstruction_filter,
-    power_free_part,
     primitive_divisors,
     rank_of_apparition,
     validate_params,
@@ -24,7 +23,7 @@ from lucasprod import (
 )
 
 RECORDS = (
-    "BinetTriple QualityReport Factorization PowerFreeDecomposition LucasParams RankOfApparition "
+    "BinetTriple QualityReport Factorization LucasParams RankOfApparition "
     "PrimitiveEntry PrimitiveReport ObstructionVerdict ProductEquation AdmissibleSet "
     "SolutionCertificate SquareClass"
 ).split()
@@ -50,7 +49,6 @@ def _one_of_each():
         BinetTriple(3, 2, 1, 2),
         QualityReport(1.5, 2.0, 0.75, 0.25, 0.5),
         factorize(-360),
-        power_free_part(-360, 2),
         fib,
         rank_of_apparition(fib, 7),
         report.entries[0],
