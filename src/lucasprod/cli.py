@@ -19,9 +19,10 @@ other errors to exit 2 or 3 on stderr.
 Each run builds one FactorCache, its only factoring context: it carries the
 --budget, in rho iterations per composite, and holds every factorization the
 run computes, so each integer is factored once per run. A --k below 2, an
---a of 0, a bad --p or --q and a negative --budget exit 2 before the cache
-file is read or written. It is backed by the --cache file, else by nothing
-(no environment variable names a file); seq and rank never load the file.
+--a of 0, a bad --p or --q, a negative --budget and an index past the cap
+100000 (--max, --to, --n, --indices) exit 2 before the cache file is read or
+written. It is backed by the --cache file, else by nothing (no environment
+variable names a file); seq and rank never load the file.
 A file record is checked when the run first reads it, so a corrupt record
 that the run reads exits 2 naming ``file:line``, and one it never reads is
 neither checked nor reported. The k-free parts and roots derived from a
@@ -49,7 +50,7 @@ import sys
 from .abc_evidence import quality_report
 from .errors import IncompleteFactorization, LucasProdError, NotFoundWithinBound, VerificationError
 from .factoring import DEFAULT_RHO_BUDGET, FactorCache
-from .lucas import LucasParams, lucas_range, lucas_u, validate_params
+from .lucas import DEFAULT_INDEX_CAP, LucasParams, lucas_range, lucas_u, validate_params
 from .primitive import factor_term, obstruction_filter, primitive_divisors, rank_of_apparition
 from .solver import (
     ProductEquation,
@@ -102,6 +103,8 @@ def _run_seq(args: argparse.Namespace, params: LucasParams, cache: FactorCache |
 def _run_classify(args: argparse.Namespace, params: LucasParams, cache: FactorCache | None) -> _Output:
     if args.max_index < 1:
         raise ValueError(f"--max must be >= 1, got {args.max_index}")
+    if args.max_index > DEFAULT_INDEX_CAP:
+        raise ValueError(f"index {args.max_index} exceeds the cap {DEFAULT_INDEX_CAP}")
     rows = []
     for n in range(1, args.max_index + 1):
         fac = factor_term(params, n, cache=cache)
@@ -178,6 +181,8 @@ _QUALITY_COLUMNS = ("height", "radical", "quality", "lower_slack", "upper_slack_
 def _run_abc_quality(args: argparse.Namespace, params: LucasParams, cache: FactorCache | None) -> _Output:
     if args.from_n < 1:
         raise ValueError(f"--from must be >= 1, got {args.from_n}")
+    if args.to_n > DEFAULT_INDEX_CAP:
+        raise ValueError(f"index {args.to_n} exceeds the cap {DEFAULT_INDEX_CAP}")
     results, lines = [], ["n " + " ".join(_QUALITY_COLUMNS)]
     for n in range(args.from_n, args.to_n + 1):
         factor_term(params, n, cache=cache)  # the split; quality_report reads U_n from the cache

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .factoring import FactorCache, factorize
 from .intmath import perfect_kth_power_root
-from .lucas import LucasParams, lucas_range, lucas_u
+from .lucas import DEFAULT_INDEX_CAP, LucasParams, lucas_u
 from .square_class import IDENTITY_CLASS, class_mul, class_of
 
 
@@ -41,6 +41,8 @@ class ProductEquation(namedtuple("ProductEquation", "params a k max_index max_fa
             raise ValueError(f"k must be >= 2, got {k}")
         if max_index < 2:
             raise ValueError(f"max_index must be >= 2, got {max_index}")
+        if max_index > DEFAULT_INDEX_CAP:
+            raise ValueError(f"index {max_index} exceeds the cap {DEFAULT_INDEX_CAP}")
         if max_factors < 1:
             raise ValueError(f"max_factors must be >= 1, got {max_factors}")
         return super().__new__(cls, params, a, k, max_index, max_factors)
@@ -70,14 +72,13 @@ class SolutionCertificate(namedtuple("SolutionCertificate", "indices y valuation
 def admissible_indices(eq: ProductEquation, cache: FactorCache | None = None) -> AdmissibleSet:
     """All n in [2, max_index] whose U_n has k-free part supported on Supp(a).
 
-    Needs a complete factorization of every term in range; the typed failure
-    names the first index whose factorization exceeded the budget.
+    Factors one term at a time, in index order, and needs each in full; the
+    typed failure names the first index whose factorization exceeded the budget.
     """
     support = set(factorize(eq.a, cache=cache).support())
-    terms = lucas_range(eq.params, eq.max_index)
     admitted = []
     for n in range(2, eq.max_index + 1):
-        fac = factorize(terms[n], cache=cache)
+        fac = factorize(lucas_u(eq.params, n), cache=cache)
         if not fac.complete:
             raise IncompleteFactorization(fac.cofactor, index=n)
         if all(p in support or exp % eq.k == 0 for p, exp in fac.factors.items()):

@@ -450,6 +450,26 @@ def test_zero_coefficient_is_rejected_before_the_cache_file(tmp_path, capsys, ar
     assert not path.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["admissible", "--a", "5", "--max", "100001"],
+        ["solve", "--a", "5", "--max", "100001"],
+        ["verify", "--a", "5", "--indices", "100001"],
+        ["classify", "--max", "100001"],
+        ["abc-quality", "--from", "1", "--to", "100001"],
+        ["seq", "--max", "100001"],
+        ["primitive", "--n", "100001"],
+    ],
+)
+def test_index_past_the_cap_is_rejected_before_the_cache_file(tmp_path, capsys, argv):
+    path = tmp_path / "F"
+    code, out, err = run_cli(capsys, [*argv, *FIB, "--budget", "100000", "--cache", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "parameter error: index 100001 exceeds the cap 100000\n"
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (3, -1), (3, 1), (4, 1), (6, 1)])
 def test_abc_quality_table_depends_only_on_abs_p(capsys, p, q):
     """U_n(-P) = (-1)^(n+1) U_n(P), so a negated card prints the same table."""

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -24,6 +25,7 @@ from lucasprod import (
     verify_solution,
 )
 
+from lucasprod.lucas import DEFAULT_INDEX_CAP
 from lucasprod.solver import _valuation_table
 
 from _oracles import brute_solutions
@@ -42,6 +44,8 @@ def test_equation_validation(fib):
         _eq(fib, 5, 2, 1, 2)
     with pytest.raises(ValueError):
         _eq(fib, 5, 2, 50, 0)
+    with pytest.raises(ValueError, match="index 100001 exceeds the cap 100000"):
+        _eq(fib, 5, 2, DEFAULT_INDEX_CAP + 1, 2)
 
 
 def test_admissible_known_sets(fib, pell, shared_cache):
@@ -57,6 +61,20 @@ def test_admissible_reports_stuck_index(fib):
         admissible_indices(_eq(fib, 5, 2, 90, 2), cache=FactorCache(budget=50))
     assert info.value.index is not None
     assert info.value.cofactor > 1
+
+
+def test_admissible_holds_one_term_at_a_time(fib):
+    """The bound N = 10^5 costs nothing until its terms are reached: the run
+    stops at U_94, and a table of all 10^5 terms would take about 0.4 GB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(IncompleteFactorization) as info:
+            admissible_indices(_eq(fib, 5, 2, DEFAULT_INDEX_CAP, 1), cache=FactorCache(budget=100000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (info.value.index, info.value.cofactor) == (94, 19740274219868223167)
+    assert peak < 32 * 2**20
 
 
 def test_whole_term_and_split_name_the_same_stuck_composite(fib):
