@@ -18,16 +18,15 @@ other errors to exit 2 or 3 on stderr.
 
 Each run builds one FactorCache, its only factoring context: it carries the
 --budget, in rho iterations per composite, and holds every factorization the
-run computes, so each integer is factored once per run. A --k below 2, an
---a of 0, a bad --p or --q, a negative --budget and an index past the cap
-100000 (--max, --to, --n, --indices) exit 2 before the cache file is read or
-written. It is backed by the --cache file, else by nothing (no environment
-variable names a file); seq and rank never load the file.
+run computes or derives, so each integer is factored once per run. A --k
+below 2, an --a of 0, a bad --p or --q, a negative --budget and an index
+past the cap 100000 (--max, --to, --n, --indices) exit 2 before the cache
+file is read or written. It is backed by the --cache file, else by nothing
+(no environment variable names a file); seq and rank never load the file.
 A file record is checked when the run first reads it, so a corrupt record
 that the run reads exits 2 naming ``file:line``, and one it never reads is
-neither checked nor reported. The k-free parts and roots derived from a
-factorization are held in memory only; the file receives only the records
-that factoring computed.
+neither checked nor reported. The file receives every complete
+factorization the run holds, each once, and nothing partial.
 
 classify, abc-quality and primitive factor each term U_n with
 ``primitive.factor_term``, which divides out the primes of every U_{n/l} (l
@@ -35,10 +34,11 @@ a prime of n) before the p-1 step and rho; classify reads e, s and the
 square class off its result, and abc-quality reads U_n back from the cache.
 The first U_d, d | n, whose primitive part stops partial exits 3 in
 ``factor_term``, naming d and its leftover composite, so rho meets that
-composite once. Their file also receives the terms U_d, d | n, and each
-one's primitive part; primitive --a adds no record for A and judges the
-obstruction filter from the prime table it prints. solve, admissible and
-verify factor whole terms, through the same ``factorize``.
+composite once. Their file thus also receives each term U_d, d | n, that
+the split factors, with its index d and its primitive part; primitive --a
+adds no record for A and judges the obstruction filter from the prime table
+it prints. solve, admissible and verify factor whole terms, through the same
+``factorize``.
 """
 
 from __future__ import annotations

@@ -25,14 +25,14 @@ A FactorCache is the one factoring context of a run: it carries the rho
 budget and makes each distinct integer cost one factorization. Every function
 above ``factorize`` takes it as ``cache=``; a call without one makes its own
 ``FactorCache()``, at DEFAULT_RHO_BUDGET, that dies with the call.
-``power_free_part`` also records the exact factorizations of the k-free part
-e and the root s it derives, in the cache's memory only, so later lookups of
-e and s need no rho; a cache file receives only the records ``factorize``
-computed, and the Lucas terms ``primitive.factor_term`` assembles from such
-records. A cache file is indexed by N when the cache is built, and each
-record is parsed and checked (structure, sign, exponents, prime bases,
-reconstruction of N) on its first read; a record no call reads is never
-checked.
+``FactorCache.add`` is the one way a factorization enters a cache, and a
+cache file receives every complete factorization its run holds: what
+``factorize`` computes, the Lucas terms ``primitive.factor_term`` assembles,
+and the k-free part e and root s ``power_free_part`` reads off (so later
+lookups of e and s need no rho). A cache file is indexed by N when the
+cache is built, and each record is parsed and checked (structure, sign,
+exponents, prime bases, reconstruction of N) on its first read; a record no
+call reads is never checked.
 """
 
 from __future__ import annotations
@@ -126,8 +126,9 @@ class FactorCache:
     last line winning for a repeated N; a first field that is not an integer
     fails there. A record is parsed and checked on its first ``get``, and only
     then used: a corrupt record raises on every read, and a record that is
-    never read is never checked. ``add`` appends new complete results to the
-    file; records kept with ``_remember`` stay in memory. ``path=None`` keeps
+    never read is never checked. ``add`` is the only way a record enters the
+    cache, and it appends each new complete record to the file, so the file
+    gets every complete factorization the cache holds. ``path=None`` keeps
     the cache purely in memory.
     """
 
@@ -203,17 +204,14 @@ class FactorCache:
             hit = self._entries[n] = self._parse(n, *hit)
         return hit.copy() if hit is not None else None
 
-    def _remember(self, n: int, fac: Factorization) -> bool:
-        """Keep a complete factorization in memory only; True when n is new.
+    def add(self, n: int, fac: Factorization) -> None:
+        """Keep a complete factorization of a new n and append it to the file, if any.
+
         Every store goes through here, which refuses a partial result."""
         if not fac.complete or n in self._entries:
-            return False
+            return
         self._entries[n] = fac.copy()
-        return True
-
-    def add(self, n: int, fac: Factorization) -> None:
-        """Keep a complete factorization and append it to the file, if any."""
-        if self._remember(n, fac) and self.path is not None:
+        if self.path is not None:
             items = " ".join(f"{p}^{e}" for p, e in sorted(fac.factors.items()))
             line = f"{n} {fac.sign} {items}".rstrip()
             with open(self.path, "a", encoding="ascii") as handle:
@@ -341,14 +339,14 @@ def factorize(n: int, cache: FactorCache | None = None) -> Factorization:
 def power_free_part(n: int, k: int, cache: FactorCache | None = None) -> tuple[int, int]:
     """The pair (e, s) of the unique n = e * s^k with e k-th-power-free, sign on e, s >= 1.
 
-    The factorizations of e and s read off that of n are kept in the cache's
-    memory (never in its file), so factoring them later costs nothing.
+    The factorizations of e and s read off that of n are stored in the cache
+    (and its file) like any other, so factoring them later costs nothing.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")  # before any factoring
     cache = FactorCache() if cache is None else cache
     e_fac, s_fac = factorize(n, cache=cache).power_free(k)
     e, s = e_fac.value(), s_fac.value()
-    cache._remember(e, e_fac)
-    cache._remember(s, s_fac)
+    cache.add(e, e_fac)
+    cache.add(s, s_fac)
     return e, s

@@ -51,11 +51,8 @@ def rank_of_apparition(params: LucasParams, p: int, cache: FactorCache | None = 
     m = p - kronecker_at_prime(params.delta, p)
     if lucas_u_mod(params, m, p) != 0:
         raise NotFoundWithinBound(p, m)
-    fac = factorize(m, cache=cache)
-    if not fac.complete:
-        raise IncompleteFactorization(fac.cofactor)
     z = m
-    for l in fac.factors:
+    for l in factorize(m, cache=cache).support():
         while z % l == 0 and lucas_u_mod(params, z // l, p) == 0:
             z //= l
     return RankOfApparition(p=p, z=z)
@@ -79,7 +76,7 @@ def factor_term(params: LucasParams, n: int, cache: FactorCache | None = None) -
         return fac
     remainder = abs(value)
     factors: dict[int, int] = {}
-    for l in factorize(n).support():  # the primes of the index; no cache, so no record of n
+    for l in factorize(n, cache=cache).support():
         for p in factor_term(params, n // l, cache).factors:
             while remainder % p == 0:
                 factors[p] = factors.get(p, 0) + 1
@@ -100,8 +97,9 @@ def primitive_divisors(params: LucasParams, n: int, cache: FactorCache | None = 
     """
     if n < 1:
         raise ValueError(f"index must be >= 1, got {n}")
+    cache = FactorCache() if cache is None else cache
     fac = factor_term(params, n, cache=cache)
-    inherited = math.prod(lucas_u(params, n // l) for l in factorize(n).support())
+    inherited = math.prod(lucas_u(params, n // l) for l in factorize(n, cache=cache).support())
     entries = tuple(
         PrimitiveEntry(prime=p, multiplicity=e, primitive=inherited % p != 0)
         for p, e in sorted(fac.factors.items())

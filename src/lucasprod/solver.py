@@ -72,13 +72,16 @@ class SolutionCertificate(namedtuple("SolutionCertificate", "indices y valuation
 def admissible_indices(eq: ProductEquation, cache: FactorCache | None = None) -> AdmissibleSet:
     """All n in [2, max_index] whose U_n has k-free part supported on Supp(a).
 
-    Factors one term at a time, in index order, and needs each in full; the
-    typed failure names the first index whose factorization exceeded the budget.
+    Walks the terms by the recurrence, holding two at a time, and factors
+    each in index order; it needs each in full, and the typed failure names
+    the first index whose factorization exceeded the budget.
     """
     support = set(factorize(eq.a, cache=cache).support())
+    u, u_next = 1, eq.params.p  # U_1, U_2
     admitted = []
     for n in range(2, eq.max_index + 1):
-        fac = factorize(lucas_u(eq.params, n), cache=cache)
+        u, u_next = u_next, eq.params.p * u_next + eq.params.q * u
+        fac = factorize(u, cache=cache)
         if not fac.complete:
             raise IncompleteFactorization(fac.cofactor, index=n)
         if all(p in support or exp % eq.k == 0 for p, exp in fac.factors.items()):

@@ -3,7 +3,7 @@
 A class is stored canonically as a sign and a strictly sorted prime tuple;
 the represented integer sign * prod(primes) is the signed squarefree part.
 ``class_of`` reads the class off the factorization of n, through the given
-cache; the distinct primes of an integer n are ``factorize(n).support()``.
+cache; the distinct primes of n are ``factorize(n, cache=cache).support()``.
 """
 
 from __future__ import annotations

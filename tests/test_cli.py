@@ -796,29 +796,67 @@ def _without_primes_of(value: int, other: int) -> int:
     return value
 
 
-def test_cache_file_gets_only_computed_records(tmp_path, capsys):
+def test_cache_file_gets_every_record_the_run_holds(tmp_path, capsys, monkeypatch):
     path = tmp_path / "facts.cache"
     argv = ["abc-quality", "--p", "6", "--q", "1", "--from", "46", "--to", "53", "--budget", "100000"]
+    caches = []
+
+    def run_cache(*args, **kwargs):
+        caches.append(FactorCache(*args, **kwargs))
+        return caches[-1]
+
+    monkeypatch.setattr(cli, "FactorCache", run_cache)
     assert run_cli(capsys, [*argv, "--cache", str(path)])[0] == 0
-    records = [int(line.split()[0]) for line in path.read_text(encoding="ascii").splitlines()]
+    (cache,) = caches
+    text = path.read_text(encoding="ascii")
+    records = [int(line.split()[0]) for line in text.splitlines()]
+    # Each N is written once, and the file's N are exactly the cache's entries.
+    assert len(records) == len(set(records)) == len(cache)
+    assert all(cache.get(n) is not None for n in records)
+    reloaded = FactorCache(str(path))
+    assert all(reloaded.get(n) == cache.get(n) for n in records)
+    assert run_cli(capsys, [*argv, "--cache", str(path)])[0] == 0
+    assert path.read_text(encoding="ascii") == text  # a rerun appends nothing
     params = validate_params(6, 1)
-    # Each term U_d, d | n, is written once, and so is its primitive part,
-    # the part the split sends to factorize: U_d without the primes of any
-    # U_{d/l}. U_1 = 1 and a prime index's primitive part is U_d itself.
+    # The entries are the terms U_d, d | n, with each index d and each term's
+    # primitive part, the part the split sends to factorize: U_d without the
+    # primes of any U_{d/l}. U_1 = 1 and a prime index's primitive part is
+    # U_d itself. Then delta, and the e and s the triples read off U_n.
     indices = {d for n in range(46, 54) for d in range(1, n + 1) if n % d == 0}
-    written = set()
+    held = {params.delta} | indices
     for d in indices:
         part = lucas_u(params, d)
         for l in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53):
             if d % l == 0:
                 part = _without_primes_of(part, lucas_u(params, d // l))
-        written.update((lucas_u(params, d), part))
-    assert len(records) == len(set(records))
-    assert sorted(records) == sorted(written | {params.delta})
-    derived = set()
+        held.update((lucas_u(params, d), part))
     for n in range(46, 54):
-        derived.update(power_free_part(lucas_u(params, n), 2))
-    assert derived - set(records)  # the run derived e and s it did not write
+        held.update(power_free_part(lucas_u(params, n), 2))
+    assert set(records) == held
+
+
+def test_no_integer_is_stored_twice_in_one_run(capsys, monkeypatch):
+    stored = Counter()
+    add = FactorCache.add
+
+    def counting_add(self, n, fac):
+        before = len(self)
+        add(self, n, fac)
+        if len(self) > before:
+            stored[n] += 1
+
+    monkeypatch.setattr(FactorCache, "add", counting_add)
+    for argv in (
+        ["primitive", *FIB, "--n", "60", "--a", "7"],
+        ["abc-quality", "--p", "6", "--q", "1", "--from", "46", "--to", "53", "--budget", "100000"],
+        ["classify", *FIB, "--max", "60"],
+        ["verify", *FIB, "--a", "5", "--indices", "5,12"],
+        ["solve", *FIB, "--a", "5", "--max", "40"],
+    ):
+        stored.clear()
+        assert run_cli(capsys, argv)[0] == 0, argv
+        assert stored, argv
+        assert [n for n, count in stored.items() if count > 1] == [], argv
 
 
 def test_stdout_same_without_memory_and_file_cache(tmp_path, capsys, monkeypatch):

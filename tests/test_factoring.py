@@ -514,7 +514,7 @@ def test_cache_last_record_of_a_repeated_n_wins(tmp_path):
         FactorCache(str(path)).get(10)
 
 
-def test_power_free_part_keeps_derived_records_in_memory(tmp_path):
+def test_power_free_part_writes_derived_records_once(tmp_path):
     path = tmp_path / "derived.cache"
     cache = FactorCache(str(path))
     n = -(2 ** 7 * 3 ** 2 * 5 * 7 ** 4)
@@ -524,6 +524,11 @@ def test_power_free_part_keeps_derived_records_in_memory(tmp_path):
     e_fac, s_fac = cache.get(e), cache.get(s)
     assert (e_fac.sign, e_fac.factors, e_fac.cofactor) == (-1, {2: 1, 3: 2, 5: 1, 7: 1}, 1)
     assert (s_fac.sign, s_fac.factors, s_fac.cofactor) == (1, {2: 2, 7: 1}, 1)
-    # Only what factorize computed reaches the file.
-    assert path.read_text(encoding="ascii") == f"{n} -1 2^7 3^2 5^1 7^4\n"
-    assert len(FactorCache(str(path))) == 1
+    # e and s reach the file after n, each once, like any complete record.
+    text = f"{n} -1 2^7 3^2 5^1 7^4\n{e} -1 2^1 3^2 5^1 7^1\n{s} 1 2^2 7^1\n"
+    assert path.read_text(encoding="ascii") == text
+    assert power_free_part(n, 3, cache=cache) == (e, s)
+    assert power_free_part(n, 3, cache=FactorCache(str(path))) == (e, s)
+    assert path.read_text(encoding="ascii") == text
+    reloaded = FactorCache(str(path))
+    assert (len(reloaded), reloaded.get(e), reloaded.get(s)) == (3, e_fac, s_fac)
