@@ -6,10 +6,12 @@ byte-identical output. Exit codes separate the outcomes: 0 success, 1 a
 mathematical rejection (including a --prime proved composite), 2 bad usage,
 an unusable --cache file or an internal error, 3 factorization budget exhausted.
 
-Each subparser binds its runner with ``set_defaults``. A runner reads the
-argparse namespace, the validated LucasParams and the run's FactorCache and
-returns ``(json_results, text_lines)``; ``run`` prints the one JSON record or
-the lines. ``run`` is also the one place where rejections become exit 1: a
+Each ``main`` call builds its own parser. Every subparser takes --p, --q,
+--json, --cache and --budget from one parent parser built in that call, and
+binds its runner with ``set_defaults``. A runner reads the argparse
+namespace, the validated LucasParams and the run's FactorCache and returns
+``(json_results, text_lines)``; ``run`` prints the one JSON record or the
+lines. ``run`` is also the one place where rejections become exit 1: a
 VerificationError or NotFoundWithinBound raised by any runner prints
 ``rejected: ...`` or ``not found: ...``, or under --json a record with empty
 ``results`` and an ``error`` field. ``main`` prints every ValueError, the
@@ -103,8 +105,6 @@ def _run_seq(args: argparse.Namespace, params: LucasParams, cache: FactorCache |
 def _run_classify(args: argparse.Namespace, params: LucasParams, cache: FactorCache | None) -> _Output:
     if args.max_index < 1:
         raise ValueError(f"--max must be >= 1, got {args.max_index}")
-    if args.max_index > DEFAULT_INDEX_CAP:
-        raise ValueError(f"index {args.max_index} exceeds the cap {DEFAULT_INDEX_CAP}")
     rows = []
     for n in range(1, args.max_index + 1):
         fac = factor_term(params, n, cache=cache)
@@ -130,7 +130,7 @@ def _run_solve(args: argparse.Namespace, params: LucasParams, cache: FactorCache
 
 
 def _run_verify(args: argparse.Namespace, params: LucasParams, cache: FactorCache | None) -> _Output:
-    indices = _parse_indices(args.indices)
+    indices = args.indices  # run parsed them to check the cap
     eq = ProductEquation(params, args.a, args.k, max(max(indices), 2), len(indices))
     cert = verify_solution(eq, indices, cache=cache)
     lines = ["verified " + _certificate_line(cert)]
@@ -181,8 +181,6 @@ _QUALITY_COLUMNS = ("height", "radical", "quality", "lower_slack", "upper_slack_
 def _run_abc_quality(args: argparse.Namespace, params: LucasParams, cache: FactorCache | None) -> _Output:
     if args.from_n < 1:
         raise ValueError(f"--from must be >= 1, got {args.from_n}")
-    if args.to_n > DEFAULT_INDEX_CAP:
-        raise ValueError(f"index {args.to_n} exceeds the cap {DEFAULT_INDEX_CAP}")
     results, lines = [], ["n " + " ".join(_QUALITY_COLUMNS)]
     for n in range(args.from_n, args.to_n + 1):
         factor_term(params, n, cache=cache)  # the split; quality_report reads U_n from the cache
@@ -200,14 +198,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Reduce A*y^k = products of Lucas terms to checkable conditions.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # The options every subcommand takes, defined once: each add_argument
+    # builds a HelpFormatter, so eight copies would cost eight times as much.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--p", type=int, required=True, help="recurrence coefficient P")
+    common.add_argument("--q", type=int, required=True, help="recurrence coefficient Q, +1 or -1")
+    common.add_argument("--json", action="store_true", dest="as_json", help="emit one JSON record")
+    common.add_argument("--cache", default=None, help="factor cache file")
+    common.add_argument("--budget", type=int, default=DEFAULT_RHO_BUDGET, help="rho iterations per composite")
 
     def command(name: str, runner, help: str) -> argparse.ArgumentParser:
-        sp = sub.add_parser(name, help=help)
-        sp.add_argument("--p", type=int, required=True, help="recurrence coefficient P")
-        sp.add_argument("--q", type=int, required=True, help="recurrence coefficient Q, +1 or -1")
-        sp.add_argument("--json", action="store_true", dest="as_json", help="emit one JSON record")
-        sp.add_argument("--cache", default=None, help="factor cache file")
-        sp.add_argument("--budget", type=int, default=DEFAULT_RHO_BUDGET, help="rho iterations per composite")
+        sp = sub.add_parser(name, help=help, parents=[common])
         # a and k are in every JSON record's params, also where no flag sets them.
         sp.set_defaults(runner=runner, a=None, k=2)
         return sp
@@ -261,6 +262,13 @@ def run(args: argparse.Namespace) -> int:
     # seq factors nothing and rank one number, so neither loads the file.
     path = None if args.subcommand in ("seq", "rank") else args.cache or None
     params = validate_params(args.p, args.q)  # before the cache file is read
+    # Every index the call names meets the cap before the file is read, too.
+    indices = [getattr(args, dest) for dest in ("max_index", "to_n", "n") if dest in args]
+    if args.subcommand == "verify":
+        args.indices = _parse_indices(args.indices)
+        indices += args.indices
+    if max(indices, default=0) > DEFAULT_INDEX_CAP:
+        raise ValueError(f"index {max(indices)} exceeds the cap {DEFAULT_INDEX_CAP}")
     cache = FactorCache(path, budget=args.budget)
     code, error = 0, None
     try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -361,6 +362,46 @@ def test_unknown_subcommand_exits_two(capsys):
     capsys.readouterr()
 
 
+SUBCOMMANDS = ("seq", "classify", "admissible", "solve", "verify", "rank", "primitive", "abc-quality")
+SHARED_FLAGS = ["--p", "--q", "--json", "--cache", "--budget"]
+
+
+def test_help_lists_the_shared_options_once_before_each_commands_own(capsys):
+    code, out, err = run_cli(capsys, ["--help"])
+    assert (code, err) == (0, "")
+    assert all(name in out for name in SUBCOMMANDS)
+    for name in SUBCOMMANDS:
+        code, out, err = run_cli(capsys, [name, "--help"])
+        assert (code, err) == (0, ""), name
+        assert out.startswith(f"usage: lucasprod {name} "), name
+        # The first flag of each line of the options section.
+        flags = re.findall(r"^  (-[-\w]+)", out, flags=re.MULTILINE)
+        assert flags[:6] == ["-h", *SHARED_FLAGS], name
+        own = flags[6:]
+        assert own and not set(own) & set(SHARED_FLAGS), name
+
+
+def test_no_state_leaks_between_main_calls(capsys):
+    """One process runs a sequence of calls across subcommands; each call's
+    code, stdout and stderr equal those of the same call in a new process."""
+    sequence = [
+        ["primitive", *FIB, "--n", "10", "--a", "5", "--k", "3", "--json"],
+        ["classify", *FIB, "--max", "12"],  # k = 2: e = 1 and s = 12 for U_12 = 144
+        ["verify", *FIB, "--a", "5", "--k", "2", "--indices", "77", "--budget", "100"],
+        ["verify", *FIB, "--a", "5", "--k", "2", "--indices", "77"],
+    ]
+    in_process = [run_cli(capsys, argv) for argv in sequence]
+    assert json.loads(in_process[0][1])["params"]["k"] == 3
+    assert in_process[1][1].splitlines()[-1] == "12 144 1 12 1"
+    assert in_process[2][0] == 3 and in_process[3][0] != 3
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for argv, got in zip(sequence, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "lucasprod.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert got == (proc.returncode, proc.stdout, proc.stderr), argv
+
+
 def test_budget_exhaustion_names_the_composite(capsys):
     code, out, err = run_cli(capsys, ["classify", *FIB, "--max", "77", "--budget", "100"])
     assert code == 3
@@ -464,10 +505,13 @@ def test_zero_coefficient_is_rejected_before_the_cache_file(tmp_path, capsys, ar
 )
 def test_index_past_the_cap_is_rejected_before_the_cache_file(tmp_path, capsys, argv):
     path = tmp_path / "F"
-    code, out, err = run_cli(capsys, [*argv, *FIB, "--budget", "100000", "--cache", str(path)])
-    assert (code, out) == (2, "")
-    assert err == "parameter error: index 100001 exceeds the cap 100000\n"
+    argv = [*argv, *FIB, "--budget", "100000", "--cache", str(path)]
+    assert run_cli(capsys, argv) == (2, "", "parameter error: index 100001 exceeds the cap 100000\n")
     assert not path.exists()
+    # A malformed record would fail as soon as the file is indexed.
+    path.write_bytes(b"x 1 2^1\n")
+    assert run_cli(capsys, argv) == (2, "", "parameter error: index 100001 exceeds the cap 100000\n")
+    assert path.read_bytes() == b"x 1 2^1\n"
 
 
 @pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (3, -1), (3, 1), (4, 1), (6, 1)])
