@@ -20,15 +20,18 @@ other errors to exit 2 or 3 on stderr.
 
 Each run builds one FactorCache, its only factoring context: it carries the
 --budget, in rho iterations per composite, and holds every factorization the
-run computes or derives, so each integer is factored once per run. A --k
-below 2, an --a of 0, a bad --p or --q, a negative --budget and an index
-past the cap 100000 (--max, --to, --n, --indices) exit 2 before the cache
-file is read or written. It is backed by the --cache file, else by nothing
-(no environment variable names a file); seq and rank never load the file.
-A file record is checked when the run first reads it, so a corrupt record
-that the run reads exits 2 naming ``file:line``, and one it never reads is
-neither checked nor reported. The file receives every complete
-factorization the run holds, each once, and nothing partial.
+run computes or derives, so each integer is factored once per run. It is
+backed by the --cache file, else by nothing (no environment variable names a
+file); seq and rank never load the file. The file holds only integers of
+10^10 or more, which trial division cannot settle, and is read on the first
+lookup or store of one, so a run that needs none never opens it. A --k below
+2, an --a of 0, a bad --p or --q, a negative --budget, an index past the cap
+100000 (--max, --to, --n, --indices) and an index or count below its bound
+exit 2 before the file is read or written. A file record is checked when the
+run first reads it, so a corrupt record that the run reads exits 2 naming
+``file:line``, and one it never reads is neither checked nor reported. The
+file receives every complete factorization of 10^10 or more the run holds,
+each once, and nothing partial.
 
 classify, abc-quality and primitive factor each term U_n with
 ``primitive.factor_term``, which divides out the primes of every U_{n/l} (l
@@ -37,9 +40,9 @@ square class off its result, and abc-quality reads U_n back from the cache.
 The first U_d, d | n, whose primitive part stops partial exits 3 in
 ``factor_term``, naming d and its leftover composite, so rho meets that
 composite once. Their file thus also receives each term U_d, d | n, that
-the split factors, with its index d and its primitive part; primitive --a
-adds no record for A and judges the obstruction filter from the prime table
-it prints. solve, admissible and verify factor whole terms, through the same
+the split factors, with its index d and its primitive part, from 10^10 up;
+primitive --a adds no record for A and judges the obstruction filter from
+the prime table it prints. solve, admissible and verify factor whole terms, through the same
 ``factorize``.
 """
 

@@ -25,14 +25,18 @@ A FactorCache is the one factoring context of a run: it carries the rho
 budget and makes each distinct integer cost one factorization. Every function
 above ``factorize`` takes it as ``cache=``; a call without one makes its own
 ``FactorCache()``, at DEFAULT_RHO_BUDGET, that dies with the call.
-``FactorCache.add`` is the one way a factorization enters a cache, and a
-cache file receives every complete factorization its run holds: what
-``factorize`` computes, the Lucas terms ``primitive.factor_term`` assembles,
-and the k-free part e and root s ``power_free_part`` reads off (so later
-lookups of e and s need no rho). A cache file is indexed by N when the
-cache is built, and each record is parsed and checked (structure, sign,
-exponents, prime bases, reconstruction of N) on its first read; a record no
-call reads is never checked.
+``FactorCache.add`` is the one way a factorization enters a cache. A cache
+file holds only what trial division cannot settle, |N| >= 10^10: below that
+``factorize`` finishes by trial division alone, so a record could neither
+change a result nor save a rho iteration, and a smaller N stays in memory. The
+file receives every complete factorization of 10^10 or more its run holds:
+what ``factorize`` computes, the Lucas terms ``primitive.factor_term``
+assembles, and the k-free part e and root s ``power_free_part`` reads off (so
+later lookups of e and s need no rho). The file is indexed by N on the first
+lookup or store of such an N, so a run that needs none never opens it, and
+each record is parsed and checked (structure, sign, exponents, prime bases,
+reconstruction of N) on its first read; a record no call reads is never
+checked.
 """
 
 from __future__ import annotations
@@ -122,14 +126,17 @@ class FactorCache:
     """Store of complete factorizations, and the rho budget to compute them at.
 
     File format, one record per line: ``N <sign> <p1>^<e1> <p2>^<e2> ...``.
-    Construction reads the file once and indexes each record by its N, the
-    last line winning for a repeated N; a first field that is not an integer
-    fails there. A record is parsed and checked on its first ``get``, and only
-    then used: a corrupt record raises on every read, and a record that is
-    never read is never checked. ``add`` is the only way a record enters the
-    cache, and it appends each new complete record to the file, so the file
-    gets every complete factorization the cache holds. ``path=None`` keeps
-    the cache purely in memory.
+    Only an |N| >= 10^10 goes through the file; every N is kept in memory.
+    The first ``get`` or ``add`` of such an N reads the file once and indexes
+    each of its records of 10^10 or more by N, the last line winning for a
+    repeated N; a first field that is not an integer fails there, and on
+    every later access. A record is parsed and checked on its first ``get``,
+    and only then used: a corrupt record raises on every read, and a record
+    that is never read is never checked. ``add`` is the only way a record
+    enters the cache, and it appends each new complete record of 10^10 or
+    more to the file, so the file gets every such factorization the cache
+    holds. ``len`` counts the entries in memory and never indexes the file.
+    ``path=None`` keeps the cache purely in memory.
     """
 
     def __init__(self, path: str | None = None, budget: int = DEFAULT_RHO_BUDGET):
@@ -141,25 +148,29 @@ class FactorCache:
         self._entries: dict[int, Factorization | tuple[int, str]] = {}
         # True while the file's last line lacks its newline, which an append adds first.
         self._newline_due = False
-        if path is not None and os.path.exists(path):
-            self._index(path)
+        # True until the file is indexed, on the first get or add of an |N| >= 10^10.
+        self._unindexed = path is not None
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._entries)  # never indexes the file
 
-    def _index(self, path: str) -> None:
-        # A non-ASCII byte reads as U+FFFD, which no int() accepts: its record is malformed.
-        with open(path, "r", encoding="ascii", errors="replace") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                self._newline_due = not line.endswith("\n")
-                head = line.split(None, 1)
-                if not head:
-                    continue
-                try:
-                    n = int(head[0])
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{lineno}: malformed cache line {line.strip()!r}") from exc
-                self._entries[n] = (lineno, line)
+    def _index(self) -> None:
+        path = self.path
+        if os.path.exists(path):
+            # A non-ASCII byte reads as U+FFFD, which no int() accepts: its record is malformed.
+            with open(path, "r", encoding="ascii", errors="replace") as handle:
+                for lineno, line in enumerate(handle, start=1):
+                    self._newline_due = not line.endswith("\n")
+                    head = line.split(None, 1)
+                    if not head:
+                        continue
+                    try:
+                        n = int(head[0])
+                    except ValueError as exc:
+                        raise ValueError(f"{path}:{lineno}: malformed cache line {line.strip()!r}") from exc
+                    if abs(n) >= _TRIAL_LIMIT_SQUARED:  # a smaller record is never read
+                        self._entries[n] = (lineno, line)
+        self._unindexed = False  # after a clean pass only, so a malformed line raises on every access
 
     def _parse(self, n: int, lineno: int, line: str) -> Factorization:
         """The record of n on file line ``lineno``, checked; ValueError if corrupt."""
@@ -198,6 +209,8 @@ class FactorCache:
         return Factorization(sign, factors)
 
     def get(self, n: int) -> Factorization | None:
+        if self._unindexed and abs(n) >= _TRIAL_LIMIT_SQUARED:
+            self._index()
         hit = self._entries.get(n)
         if type(hit) is tuple:  # a Factorization is a tuple too, of its own type
             # A corrupt record raises here and stays unread, so every read raises.
@@ -207,11 +220,17 @@ class FactorCache:
     def add(self, n: int, fac: Factorization) -> None:
         """Keep a complete factorization of a new n and append it to the file, if any.
 
-        Every store goes through here, which refuses a partial result."""
-        if not fac.complete or n in self._entries:
+        Every store goes through here, which refuses a partial result. Only an
+        |n| >= 10^10 goes to the file: trial division factors a smaller n at once."""
+        if not fac.complete:
+            return
+        on_file = self.path is not None and abs(n) >= _TRIAL_LIMIT_SQUARED
+        if on_file and self._unindexed:
+            self._index()
+        if n in self._entries:
             return
         self._entries[n] = fac.copy()
-        if self.path is not None:
+        if on_file:
             items = " ".join(f"{p}^{e}" for p, e in sorted(fac.factors.items()))
             line = f"{n} {fac.sign} {items}".rstrip()
             with open(self.path, "a", encoding="ascii") as handle:
@@ -340,7 +359,8 @@ def power_free_part(n: int, k: int, cache: FactorCache | None = None) -> tuple[i
     """The pair (e, s) of the unique n = e * s^k with e k-th-power-free, sign on e, s >= 1.
 
     The factorizations of e and s read off that of n are stored in the cache
-    (and its file) like any other, so factoring them later costs nothing.
+    like any other (in its file too, from 10^10 up), so factoring them later
+    costs nothing.
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")  # before any factoring

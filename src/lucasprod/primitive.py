@@ -41,10 +41,10 @@ def rank_of_apparition(params: LucasParams, p: int, cache: FactorCache | None = 
 
     Law of apparition (Lucas 1878): a prime p divides U_m, and p | U_n iff
     z(p) | n. So z starts at m, factored through ``cache`` like any other
-    integer (a cache file thus also receives m), and sheds each prime l of m
-    while p | U_{z/l}. U_m != 0 (mod p) proves p composite whatever the
-    probable-prime test said: that raises NotFoundWithinBound and returns no
-    rank.
+    integer (a cache file thus also receives an m of 10^10 or more), and
+    sheds each prime l of m while p | U_{z/l}. U_m != 0 (mod p) proves p
+    composite whatever the probable-prime test said: that raises
+    NotFoundWithinBound and returns no rank.
     """
     if p < 2 or not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -65,9 +65,9 @@ def factor_term(params: LucasParams, n: int, cache: FactorCache | None = None) -
     some U_{n/l}, l a prime of n. Those terms are factored first, by recursion
     through the same cache, and their primes are divided out of U_n; the
     remainder is exactly the primitive part. The result is stored in the
-    cache (and its file) under U_n, so each U_d is split once per cache. The
-    first term U_d, d | n, whose primitive part stops partial raises
-    IncompleteFactorization naming its leftover composite and the index d.
+    cache under U_n, so each U_d is split once per cache. The first term U_d,
+    d | n, whose primitive part stops partial raises IncompleteFactorization
+    naming its leftover composite and the index d.
     """
     cache = FactorCache() if cache is None else cache
     value = lucas_u(params, n)

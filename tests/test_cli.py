@@ -35,6 +35,10 @@ from lucasprod.factoring import factorize, power_free_part
 from lucasprod.lucas import lucas_u, validate_params
 
 FIB = ["--p", "1", "--q", "1"]
+# A cache file holds only |N| >= 10^10, so a record a run reads is at least
+# that big: U_60 of Fibonacci is the first such term the tests read.
+U60 = 1548008755920
+U60_PRIMES = "3^2 5^1 11^1 31^1 41^1 61^1 2521^1"  # and 2^4
 
 
 def run_cli(capsys, argv):
@@ -238,28 +242,34 @@ def test_rank_budget_reaches_factoring_of_p_minus_symbol(capsys):
 
 def test_rank_and_seq_never_load_the_cache(tmp_path, capsys):
     bad = tmp_path / "bad.cache"
+    rank = ["rank", *FIB, "--prime", "10000000019", "--cache", str(bad)]
     for text, complaint in (
-        # classify --max 6 reads U_6 = 8 and rank --prime 11 would read 11 - 1 = 10.
-        ("8 1 2^1\n10 1 3^1\n", "bad.cache:1: record does not reconstruct 8"),
-        ("not a line\n", "bad.cache:1: malformed cache line"),  # fails at load
+        # classify --max 60 reads U_60 and rank would read 10000000019 - 1.
+        (f"{U60} 1 2^1\n10000000018 1 3^1\n", f"bad.cache:1: record does not reconstruct {U60}"),
+        ("not a line\n", "bad.cache:1: malformed cache line"),  # fails at the first file lookup
     ):
         bad.write_text(text, encoding="ascii")
-        assert run_cli(capsys, ["rank", *FIB, "--prime", "11", "--cache", str(bad)])[:2] == (0, "z(11) = 10\n")
+        assert run_cli(capsys, rank)[:2] == (0, "z(10000000019) = 10000000018\n")
         assert run_cli(capsys, ["seq", *FIB, "--max", "2", "--cache", str(bad)])[:2] == (0, "1 1\n2 1\n")
         assert bad.read_text(encoding="ascii") == text
-        code, _, err = run_cli(capsys, ["classify", *FIB, "--max", "6", "--cache", str(bad)])
+        code, _, err = run_cli(capsys, ["classify", *FIB, "--max", "60", "--cache", str(bad)])
         assert code == 2 and complaint in err
 
 
 def test_unread_corrupt_record_does_not_stop_a_run(tmp_path, capsys):
-    argv = ["classify", *FIB, "--max", "5"]
+    argv = ["classify", *FIB, "--max", "59"]
     honest = run_cli(capsys, argv)
     assert honest[0] == 0
     path = tmp_path / "stale.cache"
-    path.write_text("6 1 2^1\n", encoding="ascii")  # classify --max 5 never reads 6
+    path.write_text(f"{U60} 1 2^1\n", encoding="ascii")  # classify --max 59 indexes the file, never reads U_60
     assert run_cli(capsys, [*argv, "--cache", str(path)]) == honest
-    code, _, err = run_cli(capsys, ["admissible", *FIB, "--a", "6", "--max", "5", "--cache", str(path)])
-    assert code == 2 and "stale.cache:1: record does not reconstruct 6" in err
+    code, _, err = run_cli(capsys, ["admissible", *FIB, "--a", "6", "--max", "60", "--cache", str(path)])
+    assert code == 2 and f"stale.cache:1: record does not reconstruct {U60}" in err
+    # A record below 10^10 is never read: admissible --a 6 factors A = 6 itself.
+    path.write_text("6 1 2^1\n", encoding="ascii")
+    argv = ["admissible", *FIB, "--a", "6", "--max", "5"]
+    assert run_cli(capsys, [*argv, "--cache", str(path)]) == run_cli(capsys, argv) == (0, "2 3 4\n", "")
+    assert path.read_text(encoding="ascii") == "6 1 2^1\n"
 
 
 def test_internal_inconsistency_is_not_a_rejection(capsys, monkeypatch):
@@ -349,12 +359,15 @@ def test_bad_k_is_rejected_before_the_cache_file(tmp_path, capsys):
 
 
 def test_unusable_cache_path_exits_two(tmp_path, capsys):
-    # A directory fails when the cache is read, a missing directory at the first append.
+    # A directory fails when the file is indexed, a missing directory at the first append.
     for path in (tmp_path, tmp_path / "missing" / "f.cache"):
-        code, out, err = run_cli(capsys, ["classify", *FIB, "--max", "5", "--cache", str(path)])
+        code, out, err = run_cli(capsys, ["classify", *FIB, "--max", "60", "--cache", str(path)])
         assert (code, out) == (2, ""), path
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert str(path) in err
+        # A run that needs no record of 10^10 or more never opens the file.
+        argv = ["classify", *FIB, "--max", "5"]
+        assert run_cli(capsys, [*argv, "--cache", str(path)]) == run_cli(capsys, argv)
 
 
 def test_unknown_subcommand_exits_two(capsys):
@@ -514,6 +527,25 @@ def test_index_past_the_cap_is_rejected_before_the_cache_file(tmp_path, capsys, 
     assert path.read_bytes() == b"x 1 2^1\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--max", "0"], "--max must be >= 1, got 0"),
+        (["abc-quality", "--from", "0", "--to", "5"], "--from must be >= 1, got 0"),
+        (["admissible", "--a", "5", "--max", "1"], "max_index must be >= 2, got 1"),
+        (["solve", "--a", "5", "--max", "10", "--r", "0"], "max_factors must be >= 1, got 0"),
+        (["primitive", "--n", "-1"], "index must be >= 1, got -1"),
+        (["verify", "--a", "5", "--indices", "0"], "indices must be >= 1, got (0,)"),
+    ],
+    ids=["classify", "abc-quality", "admissible", "solve", "primitive", "verify"],
+)
+def test_index_below_its_bound_is_rejected_before_the_cache_file(tmp_path, capsys, argv, message):
+    path = tmp_path / "F"
+    path.write_bytes(b"x 1 2^1\n")  # a malformed record fails as soon as the file is indexed
+    assert run_cli(capsys, [*argv, *FIB, "--cache", str(path)]) == (2, "", f"parameter error: {message}\n")
+    assert path.read_bytes() == b"x 1 2^1\n"
+
+
 @pytest.mark.parametrize("p, q", [(1, 1), (2, 1), (3, -1), (3, 1), (4, 1), (6, 1)])
 def test_abc_quality_table_depends_only_on_abs_p(capsys, p, q):
     """U_n(-P) = (-1)^(n+1) U_n(P), so a negated card prints the same table."""
@@ -579,19 +611,34 @@ def test_reruns_are_byte_identical(capsys):
 
 def test_cache_flag_persists_factorizations(tmp_path, capsys):
     path = tmp_path / "facts.txt"
-    first = run_cli(capsys, ["classify", *FIB, "--max", "15", "--cache", str(path)])
+    assert run_cli(capsys, ["classify", *FIB, "--max", "15", "--cache", str(path)])[0] == 0
+    assert not path.exists()  # U_15 = 610: trial division settles every term
+    first = run_cli(capsys, ["classify", *FIB, "--max", "60", "--cache", str(path)])
     assert first[0] == 0
     assert path.exists()
     assert path.read_text(encoding="ascii")
-    second = run_cli(capsys, ["classify", *FIB, "--max", "15", "--cache", str(path)])
+    second = run_cli(capsys, ["classify", *FIB, "--max", "60", "--cache", str(path)])
     assert second == first
+
+
+def _recording_factorize(monkeypatch):
+    """The list of every integer factorize gets, as primitive and factoring call it."""
+    factored = []
+    real_factorize = factoring.factorize
+
+    def recording_factorize(n, *args, **kwargs):
+        factored.append(n)
+        return real_factorize(n, *args, **kwargs)
+
+    for module in (primitive, factoring):
+        monkeypatch.setattr(module, "factorize", recording_factorize)
+    return factored
 
 
 def test_primitive_builds_the_prime_table_once(capsys, monkeypatch):
     """primitive --a judges the filter from the table it prints: one split of
     U_60, no residue of a Lucas term and no factorization of A."""
     calls = Counter()
-    factored = []
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -606,14 +653,7 @@ def test_primitive_builds_the_prime_table_once(capsys, monkeypatch):
         monkeypatch.setattr(primitive, name, wrapper)
         if hasattr(cli, name):
             monkeypatch.setattr(cli, name, wrapper)
-    real_factorize = factoring.factorize
-
-    def recording_factorize(n, *args, **kwargs):
-        factored.append(n)
-        return real_factorize(n, *args, **kwargs)
-
-    for module in (primitive, factoring):
-        monkeypatch.setattr(module, "factorize", recording_factorize)
+    factored = _recording_factorize(monkeypatch)
     code, out, err = run_cli(capsys, ["primitive", *FIB, "--n", "60", "--a", "7"])
     assert (code, err) == (0, "")
     assert out.splitlines() == [
@@ -633,13 +673,12 @@ def test_primitive_builds_the_prime_table_once(capsys, monkeypatch):
     assert factored and 7 not in factored
 
 
-def test_obstruction_filter_factors_no_p_minus_symbol(tmp_path, capsys):
+def test_obstruction_filter_factors_no_p_minus_symbol(capsys, monkeypatch):
     # 13 - (5/13) = 14: z(13) = 7. The filter factors neither A = 13 nor 14.
-    path = tmp_path / "filter.cache"
-    code, out, _ = run_cli(capsys, ["primitive", *FIB, "--n", "10", "--a", "13", "--cache", str(path)])
+    factored = _recording_factorize(monkeypatch)
+    code, out, _ = run_cli(capsys, ["primitive", *FIB, "--n", "10", "--a", "13"])
     assert code == 0 and out.splitlines()[-1].startswith("verdict=excluded")
-    records = [int(line.split()[0]) for line in path.read_text(encoding="ascii").splitlines()]
-    assert 13 not in records and 14 not in records
+    assert factored and 13 not in factored and 14 not in factored
 
 
 def test_environment_names_no_cache_file(tmp_path, capsys, monkeypatch):
@@ -647,11 +686,12 @@ def test_environment_names_no_cache_file(tmp_path, capsys, monkeypatch):
     named one, pointed at a corrupt record the run would read, neither
     changes the answer nor gets the run's records."""
     path = tmp_path / "env.cache"
-    path.write_text("8 1 8^1\n", encoding="ascii")
+    record = f"{U60} 1 16^1 {U60_PRIMES}\n"
+    path.write_text(record, encoding="ascii")
     monkeypatch.setenv("LUCAS_FACTOR_CACHE", str(path))
-    argv = ["admissible", *FIB, "--a", "2", "--k", "3", "--max", "12"]
+    argv = ["admissible", *FIB, "--a", "2", "--k", "3", "--max", "60"]
     assert run_cli(capsys, argv) == (0, "2 3 6\n", "")
-    assert path.read_text(encoding="ascii") == "8 1 8^1\n"
+    assert path.read_text(encoding="ascii") == record
 
 
 def test_console_script_smoke():
@@ -705,39 +745,61 @@ def test_console_main_exits_with_the_code_of_main(capsys, monkeypatch):
 
 
 def test_corrupt_cache_record_is_refused(tmp_path, capsys):
-    verify_u6 = ["verify", *FIB, "--a", "2", "--k", "3", "--indices", "6"]
-    not_a_cube = "rejected: quotient is not a perfect 3-th power\n"
+    admissible_6 = ["admissible", *FIB, "--a", "6", "--k", "3", "--max", "60"]
+    admissible_2 = ["admissible", *FIB, "--a", "2", "--k", "3", "--max", "60"]
+    verify_u60 = ["verify", *FIB, "--a", "2", "--k", "3", "--indices", "60"]
+    rejected_u60 = "rejected: U_60 has prime 3 to exponent not divisible by 3 outside the support of a=2\n"
     bad = tmp_path / "bad.cache"
     for record, argv, honest, complaint in (
-        # 3 * 2 = 6, but 3 is not a sign.
-        ("6 3 2^1", ["admissible", *FIB, "--a", "6", "--k", "3", "--max", "30"], (0, "2 3 4 6 12\n"), "sign 3"),
-        # Read as the factorization of 8, it hides the cube 2^3 = U_6 from A = 2.
-        ("8 1 8^1", ["admissible", *FIB, "--a", "2", "--k", "3", "--max", "12"], (0, "2 3 6\n"), "base 8 is not prime"),
-        # verify reads U_6 = 8 too, also once admissible no longer factors terms.
-        ("8 1 8^1", verify_u6, (1, not_a_cube), "base 8 is not prime"),
-        # Read as the factorization of A = 15, it puts U_5 = 5 outside Supp(A).
+        # 3 * U_60/3 = U_60, but 3 is not a sign.
+        (f"{U60} 3 2^4 3^1 5^1 11^1 31^1 41^1 61^1 2521^1", admissible_6, (0, "2 3 4 6 12\n"), "sign 3"),
+        # Read as U_60's factorization, 16^1 in place of 2^4 passes 16 off as a prime outside A = 2.
+        (f"{U60} 1 16^1 {U60_PRIMES}", admissible_2, (0, "2 3 6\n"), "base 16 is not prime"),
+        # verify reads U_60 too, also once admissible no longer factors terms.
+        (f"{U60} 1 16^1 {U60_PRIMES}", verify_u60, (1, rejected_u60), "base 16 is not prime"),
+        # Read as the factorization of A = 15 * 10^10, it puts U_5 = 5 outside Supp(A).
         (
-            "15 1 15^1",
-            ["verify", *FIB, "--a", "15", "--indices", "5"],
+            "150000000000 1 150000000000^1",
+            ["verify", *FIB, "--a", "150000000000", "--indices", "5"],
             (1, "rejected: product class 5 differs from the coefficient class 15\n"),
-            "base 15 is not prime",
+            "base 150000000000 is not prime",
         ),
         # 2^(10^12) would take far more memory than the run has; the record is refused first.
-        (
-            "8 1 2^1000000000000",
-            ["admissible", *FIB, "--a", "2", "--k", "3", "--max", "12"],
-            (0, "2 3 6\n"),
-            "record exceeds |8| at 2^1000000000000",
-        ),
-        ("8 1 2^1000000000000", verify_u6, (1, not_a_cube), "record exceeds |8| at 2^1000000000000"),
+        (f"{U60} 1 2^1000000000000", admissible_2, (0, "2 3 6\n"), f"record exceeds |{U60}| at 2^1000000000000"),
+        (f"{U60} 1 2^1000000000000", verify_u60, (1, rejected_u60), f"record exceeds |{U60}| at 2^1000000000000"),
         # A non-ASCII byte makes the record malformed, named like any other.
-        ("6 1 2^1 3^\u00e9", ["admissible", *FIB, "--a", "6", "--k", "3", "--max", "30"], (0, "2 3 4 6 12\n"), "malformed"),
+        (f"{U60} 1 2^4 3^\u00e9", admissible_6, (0, "2 3 4 6 12\n"), "malformed"),
     ):
         assert run_cli(capsys, argv)[:2] == honest
         bad.write_text(record + "\n", encoding="utf-8")
         code, out, err = run_cli(capsys, [*argv, "--cache", str(bad)])
         assert (code, out) == (2, ""), record
         assert f"bad.cache:1: {complaint}" in err
+
+
+def test_corrupt_cache_record_below_ten_to_the_ten_is_never_read(tmp_path, capsys):
+    verify_u6 = ["verify", *FIB, "--a", "2", "--k", "3", "--indices", "6"]
+    not_a_cube = "rejected: quotient is not a perfect 3-th power\n"
+    bad = tmp_path / "bad.cache"
+    # Each record, read, would change the answer or be refused; trial division settles
+    # its N at once, so the run neither reads nor writes it and prints the honest answer.
+    for record, argv, honest in (
+        ("6 3 2^1", ["admissible", *FIB, "--a", "6", "--k", "3", "--max", "30"], (0, "2 3 4 6 12\n")),
+        ("8 1 8^1", ["admissible", *FIB, "--a", "2", "--k", "3", "--max", "12"], (0, "2 3 6\n")),
+        ("8 1 8^1", verify_u6, (1, not_a_cube)),
+        (
+            "15 1 15^1",
+            ["verify", *FIB, "--a", "15", "--indices", "5"],
+            (1, "rejected: product class 5 differs from the coefficient class 15\n"),
+        ),
+        ("8 1 2^1000000000000", ["admissible", *FIB, "--a", "2", "--k", "3", "--max", "12"], (0, "2 3 6\n")),
+        ("8 1 2^1000000000000", verify_u6, (1, not_a_cube)),
+        ("6 1 2^1 3^\u00e9", ["admissible", *FIB, "--a", "6", "--k", "3", "--max", "30"], (0, "2 3 4 6 12\n")),
+    ):
+        assert run_cli(capsys, argv)[:2] == honest
+        bad.write_text(record + "\n", encoding="utf-8")
+        assert run_cli(capsys, [*argv, "--cache", str(bad)]) == (*honest, ""), record
+        assert bad.read_text(encoding="utf-8") == record + "\n"
 
 
 def test_no_cache_named_writes_no_file(tmp_path, capsys, monkeypatch):
@@ -854,11 +916,10 @@ def test_cache_file_gets_every_record_the_run_holds(tmp_path, capsys, monkeypatc
     (cache,) = caches
     text = path.read_text(encoding="ascii")
     records = [int(line.split()[0]) for line in text.splitlines()]
-    # Each N is written once, and the file's N are exactly the cache's entries.
-    assert len(records) == len(set(records)) == len(cache)
-    assert all(cache.get(n) is not None for n in records)
+    # Each N is written once, and the file's N are exactly the cache's entries of 10^10 or more.
+    assert len(records) == len(set(records))
     reloaded = FactorCache(str(path))
-    assert all(reloaded.get(n) == cache.get(n) for n in records)
+    assert all(reloaded.get(n) == cache.get(n) is not None for n in records)
     assert run_cli(capsys, [*argv, "--cache", str(path)])[0] == 0
     assert path.read_text(encoding="ascii") == text  # a rerun appends nothing
     params = validate_params(6, 1)
@@ -876,7 +937,9 @@ def test_cache_file_gets_every_record_the_run_holds(tmp_path, capsys, monkeypatc
         held.update((lucas_u(params, d), part))
     for n in range(46, 54):
         held.update(power_free_part(lucas_u(params, n), 2))
-    assert set(records) == held
+    assert len(cache) == len(held) and all(cache.get(n) is not None for n in held)
+    assert set(records) == {n for n in held if abs(n) >= 10 ** 10}
+    assert all(reloaded.get(n) is None for n in held.difference(records))
 
 
 def test_no_integer_is_stored_twice_in_one_run(capsys, monkeypatch):

@@ -391,18 +391,48 @@ def test_power_free_split_of_a_factorization_matches_power_free_part():
         factorize(10).power_free(1)
 
 
+# A cache file holds only |N| >= 10^10; below that trial division settles N at once.
+# U_60 of Fibonacci is one such N, and 12 * 10^10 and 30 * 10^10 are two more.
+U60, U60_RECORD = 1548008755920, "1548008755920 1 2^4 3^2 5^1 11^1 31^1 41^1 61^1 2521^1"
+N12, N12_RECORD = 12 * 10 ** 10, "120000000000 1 2^12 3^1 5^10"
+N30, N30_RECORD = 30 * 10 ** 10, "300000000000 1 2^11 3^1 5^11"
+
+
 def test_cache_roundtrip(tmp_path):
     path = str(tmp_path / "factors.cache")
     cache = FactorCache(path)
-    fac = factorize(-8640, cache=cache)
-    assert factorize(360, cache=cache).factors == {2: 3, 3: 2, 5: 1}
+    n = -8640 * 10 ** 10
+    fac = factorize(n, cache=cache)
+    assert factorize(36 * 10 ** 11, cache=cache).factors == {2: 13, 3: 2, 5: 11}
     reloaded = FactorCache(path)
-    assert len(reloaded) == len(cache)
-    hit = reloaded.get(-8640)
+    hit = reloaded.get(n)
+    assert len(reloaded) == len(cache) == 2
     assert hit is not None and hit.factors == fac.factors and hit.sign == -1
     # get() hands out copies; mutating one must not poison the store
     hit.factors[999983] = 5
-    assert reloaded.get(-8640).factors == fac.factors
+    assert reloaded.get(n).factors == fac.factors
+
+
+def test_cache_file_holds_only_what_trial_division_cannot_settle(tmp_path):
+    path = tmp_path / "edge.cache"
+    cache = FactorCache(str(path))
+    below = 10 ** 10 - 1
+    for n in (below, -below, 10 ** 10, -(10 ** 10)):
+        factorize(n, cache=cache)
+    # All four are kept in memory; only the two at the threshold reach the file.
+    assert len(cache) == 4
+    assert path.read_text(encoding="ascii") == "10000000000 1 2^10 5^10\n-10000000000 -1 2^10 5^10\n"
+    # A corrupt record below the threshold is never read, and the file is never rewritten.
+    path.write_text(f"{below} 1 3^1\n", encoding="ascii")
+    fresh = FactorCache(str(path))
+    assert fresh.get(below) is None
+    assert factorize(below, cache=fresh) == factorize(below)
+    assert path.read_text(encoding="ascii") == f"{below} 1 3^1\n"
+    # A cache that needs no record of 10^10 or more never opens its file.
+    directory = FactorCache(str(tmp_path))
+    assert factorize(below, cache=directory).complete
+    with pytest.raises(OSError):  # the first lookup of 10^10 or more opens it
+        directory.get(10 ** 10)
 
 
 def test_cache_skips_partial_results(tmp_path):
@@ -420,26 +450,32 @@ def test_cache_skips_partial_results(tmp_path):
 
 def test_cache_rejects_malformed_lines(tmp_path):
     bad = tmp_path / "bad.cache"
-    bad.write_text("12 1 2^2 3^1\nnot a line\n")
+    bad.write_text(f"{U60_RECORD}\nnot a line\n12 1 2^2 3^1\n")
+    cache = FactorCache(str(bad))  # the file is indexed on the first lookup that needs it
+    assert cache.get(12) is None and factorize(12, cache=cache).factors == {2: 2, 3: 1}
+    for _ in range(2):  # the file stays unindexed, so every access raises
+        with pytest.raises(ValueError, match="bad.cache:2: malformed cache line"):
+            cache.get(U60)
     with pytest.raises(ValueError, match="bad.cache:2: malformed cache line"):
-        FactorCache(str(bad))
+        cache.add(N12, factorize(N12))
     wrong = tmp_path / "wrong.cache"
-    wrong.write_text("10 1 3^1\n")  # parses but does not reconstruct 10
+    wrong.write_text("10000000010 1 3^1\n10 1 3^1\n")  # parse but do not reconstruct their N
     cache = FactorCache(str(wrong))
-    with pytest.raises(ValueError, match="wrong.cache:1: record does not reconstruct 10"):
-        cache.get(10)
+    with pytest.raises(ValueError, match="wrong.cache:1: record does not reconstruct 10000000010"):
+        cache.get(10000000010)
+    assert cache.get(10) is None  # below 10^10: never read
 
 
 @pytest.mark.parametrize(
     "record, complaint",
     [
-        ("6 3 2^1", "sign 3"),  # 3 * 2 reconstructs 6
-        ("15 1 15^1 2^0", "exponent 0"),
-        ("5 1 1^3 5^1", "base 1"),
-        ("4 1 2^2 2^2", "prime 2 is repeated"),  # a dict would keep one 2^2
-        ("8 1 8^1", "base 8 is not prime"),
+        (f"{U60} 3 2^4 3^1 5^1 11^1 31^1 41^1 61^1 2521^1", "sign 3"),  # 3 * U60/3 reconstructs U60
+        (f"{U60} 1 {U60}^1 2^0", "exponent 0"),
+        (f"{U60} 1 1^3 {U60}^1", "base 1"),
+        (f"{U60} 1 2^2 2^2 3^2 5^1 11^1 31^1 41^1 61^1 2521^1", "prime 2 is repeated"),  # a dict keeps one 2^2
+        (f"{U60} 1 16^1 3^2 5^1 11^1 31^1 41^1 61^1 2521^1", "base 16 is not prime"),
         ("10002200057 1 10002200057^1", "base 10002200057 is not prime"),  # 100003 * 100019
-        ("8 1 2^1000000000000", "exceeds"),  # refused before the power is taken
+        (f"{U60} 1 2^1000000000000", "exceeds"),  # refused before the power is taken
     ],
     ids=[
         "sign", "exponent", "base", "repeated-prime", "composite-base", "composite-base-above-trial-limit",
@@ -448,7 +484,7 @@ def test_cache_rejects_malformed_lines(tmp_path):
 )
 def test_cache_rejects_corrupt_records(tmp_path, record, complaint):
     path = tmp_path / "corrupt.cache"
-    path.write_text(f"12 1 2^2 3^1\n{record}\n", encoding="ascii")
+    path.write_text(f"{N12_RECORD}\n{record}\n", encoding="ascii")
     cache = FactorCache(str(path))
     n = int(record.split()[0])
     # The record is never used: the first read raises, and so does every later one.
@@ -456,13 +492,14 @@ def test_cache_rejects_corrupt_records(tmp_path, record, complaint):
         cache.get(n)
     with pytest.raises(ValueError, match=f"corrupt.cache:2: .*{complaint}"):
         factorize(n, cache=cache)
-    assert cache.get(12).factors == {2: 2, 3: 1}
+    assert cache.get(N12).factors == {2: 12, 3: 1, 5: 10}
 
 
 def test_cache_checks_primes_of_read_records_only(tmp_path, monkeypatch):
     path = tmp_path / "lazy.cache"
-    big = [_next_prime(10 ** 6 + 1000 * i) for i in range(4)]
-    path.write_text("".join(f"{p} 1 {p}^1\n" for p in big) + "6 1 2^1 3^1\n", encoding="ascii")
+    big = [_next_prime(10 ** 10 + 1000 * i) for i in range(4)]
+    text = "".join(f"{p} 1 {p}^1\n" for p in big) + f"{N12_RECORD}\n6 1 2^1 3^1\n"
+    path.write_text(text, encoding="ascii")
     tested = []
     real = factoring.is_probable_prime
 
@@ -472,63 +509,74 @@ def test_cache_checks_primes_of_read_records_only(tmp_path, monkeypatch):
 
     monkeypatch.setattr(factoring, "is_probable_prime", counting)
     cache = FactorCache(str(path))
-    assert tested == [] and len(cache) == 5
+    assert tested == [] and len(cache) == 0  # not indexed yet
     assert cache.get(big[2]).factors == {big[2]: 1}
+    assert len(cache) == 5  # the record of 6 is not indexed
     assert cache.get(big[2]).factors == {big[2]: 1}  # the parsed copy, not a second check
-    assert cache.get(6).factors == {2: 1, 3: 1}  # bases below 10^5 use the sieve
+    assert cache.get(N12).factors == {2: 12, 3: 1, 5: 10}  # bases below 10^5 use the sieve
+    assert cache.get(6) is None
     assert tested == [big[2]]
 
 
 def test_cache_appends_and_counts_each_new_record_once(tmp_path):
     path = tmp_path / "grow.cache"
-    path.write_text("12 1 2^2 3^1\n", encoding="ascii")
+    path.write_text(f"{N12_RECORD}\n", encoding="ascii")
     cache = FactorCache(str(path))
-    cache.add(12, factorize(12))  # an unread record counts as present
+    cache.add(N12, factorize(N12))  # an unread record counts as present
     assert len(cache) == 1
-    for n, size in ((12, 1), (30, 2), (30, 2), (-7, 3)):
+    for n, size in ((N12, 1), (N30, 2), (N30, 2), (-7 * 10 ** 10, 3), (30, 4), (30, 4)):
         factorize(n, cache=cache)
         assert len(cache) == size
-    assert path.read_text(encoding="ascii") == "12 1 2^2 3^1\n30 1 2^1 3^1 5^1\n-7 -1 7^1\n"
+    # 30 is kept in memory only.
+    text = f"{N12_RECORD}\n{N30_RECORD}\n-70000000000 -1 2^10 5^10 7^1\n"
+    assert path.read_text(encoding="ascii") == text
     reloaded = FactorCache(str(path))
+    assert reloaded.get(N30).factors == {2: 11, 3: 1, 5: 11}
     assert len(reloaded) == 3
-    assert reloaded.get(30).factors == {2: 1, 3: 1, 5: 1}
-    assert (reloaded.get(-7).sign, reloaded.get(-7).factors) == (-1, {7: 1})
+    assert (reloaded.get(-7 * 10 ** 10).sign, reloaded.get(-7 * 10 ** 10).factors) == (-1, {2: 10, 5: 10, 7: 1})
+    assert reloaded.get(30) is None
 
 
 def test_cache_appends_after_a_last_line_without_newline(tmp_path):
     path = tmp_path / "open.cache"
-    path.write_text("12 1 2^2 3^1", encoding="ascii")
-    factorize(30, cache=FactorCache(str(path)))
-    assert path.read_text(encoding="ascii") == "12 1 2^2 3^1\n30 1 2^1 3^1 5^1\n"
+    path.write_text(N12_RECORD, encoding="ascii")
+    factorize(N30, cache=FactorCache(str(path)))
+    assert path.read_text(encoding="ascii") == f"{N12_RECORD}\n{N30_RECORD}\n"
     reloaded = FactorCache(str(path))
-    assert reloaded.get(12).factors == {2: 2, 3: 1}
-    assert reloaded.get(30).factors == {2: 1, 3: 1, 5: 1}
+    assert reloaded.get(N12).factors == {2: 12, 3: 1, 5: 10}
+    assert reloaded.get(N30).factors == {2: 11, 3: 1, 5: 11}
 
 
 def test_cache_last_record_of_a_repeated_n_wins(tmp_path):
     path = tmp_path / "twice.cache"
-    path.write_text("10 1 3^1\n12 1 2^2 3^1\n10 1 2^1 5^1\n", encoding="ascii")
-    assert FactorCache(str(path)).get(10).factors == {2: 1, 5: 1}
-    path.write_text("10 1 2^1 5^1\n10 1 3^1\n", encoding="ascii")
-    with pytest.raises(ValueError, match="twice.cache:2: record does not reconstruct 10"):
-        FactorCache(str(path)).get(10)
+    path.write_text(f"10000000000 1 3^1\n{N12_RECORD}\n10000000000 1 2^10 5^10\n", encoding="ascii")
+    assert FactorCache(str(path)).get(10 ** 10).factors == {2: 10, 5: 10}
+    path.write_text("10000000000 1 2^10 5^10\n10000000000 1 3^1\n", encoding="ascii")
+    with pytest.raises(ValueError, match="twice.cache:2: record does not reconstruct 10000000000"):
+        FactorCache(str(path)).get(10 ** 10)
 
 
 def test_power_free_part_writes_derived_records_once(tmp_path):
     path = tmp_path / "derived.cache"
     cache = FactorCache(str(path))
-    n = -(2 ** 7 * 3 ** 2 * 5 * 7 ** 4)
-    e, s = power_free_part(n, 3, cache=cache)
-    assert (e, s) == (-(2 * 3 ** 2 * 5 * 7), 2 ** 2 * 7)
+    # n, e and s below 10^10 stay in memory.
+    assert power_free_part(-(2 ** 7 * 3 ** 2 * 5 * 7 ** 4), 3, cache=cache) == (-(2 * 3 ** 2 * 5 * 7), 2 ** 2 * 7)
+    assert len(cache) == 3 and not path.exists()
+    e = -(2 * 3 ** 2 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29)
+    s = 2 ** 17 * 7 ** 6
+    n = e * s ** 3
+    assert power_free_part(n, 3, cache=cache) == (e, s)
     assert power_free_part(n, 3) == (e, s)
     e_fac, s_fac = cache.get(e), cache.get(s)
-    assert (e_fac.sign, e_fac.factors, e_fac.cofactor) == (-1, {2: 1, 3: 2, 5: 1, 7: 1}, 1)
-    assert (s_fac.sign, s_fac.factors, s_fac.cofactor) == (1, {2: 2, 7: 1}, 1)
+    odd = "11^1 13^1 17^1 19^1 23^1 29^1"
+    e_primes = {2: 1, 3: 2, 5: 1, 7: 1, 11: 1, 13: 1, 17: 1, 19: 1, 23: 1, 29: 1}
+    assert (e_fac.sign, e_fac.factors, e_fac.cofactor) == (-1, e_primes, 1)
+    assert (s_fac.sign, s_fac.factors, s_fac.cofactor) == (1, {2: 17, 7: 6}, 1)
     # e and s reach the file after n, each once, like any complete record.
-    text = f"{n} -1 2^7 3^2 5^1 7^4\n{e} -1 2^1 3^2 5^1 7^1\n{s} 1 2^2 7^1\n"
+    text = f"{n} -1 2^52 3^2 5^1 7^19 {odd}\n{e} -1 2^1 3^2 5^1 7^1 {odd}\n{s} 1 2^17 7^6\n"
     assert path.read_text(encoding="ascii") == text
     assert power_free_part(n, 3, cache=cache) == (e, s)
     assert power_free_part(n, 3, cache=FactorCache(str(path))) == (e, s)
     assert path.read_text(encoding="ascii") == text
     reloaded = FactorCache(str(path))
-    assert (len(reloaded), reloaded.get(e), reloaded.get(s)) == (3, e_fac, s_fac)
+    assert (reloaded.get(e), reloaded.get(s), len(reloaded)) == (e_fac, s_fac, 3)

@@ -78,12 +78,14 @@ def test_records_are_immutable_with_field_reprs():
 
 def test_cache_records_read_equal_and_corrupt_ones_always_raise(tmp_path):
     path = tmp_path / "records.cache"
-    path.write_text("12 1 2^2 3^1\n8 1 8^1\n", encoding="ascii")
+    # A file holds only |N| >= 10^10: the record of 8 is never read.
+    path.write_text("120000000000 1 2^12 3^1 5^10\n10000000000 1 10000000000^1\n8 1 8^1\n", encoding="ascii")
     cache = FactorCache(str(path))
     # The first read parses the line; the second must take the parsed record, not parse it again.
-    first, second = cache.get(12), cache.get(12)
-    assert first == second == factorize(12)
+    first, second = cache.get(12 * 10 ** 10), cache.get(12 * 10 ** 10)
+    assert first == second == factorize(12 * 10 ** 10)
     assert first.factors is not second.factors
     for _ in range(3):
-        with pytest.raises(ValueError, match="records.cache:2: base 8 is not prime"):
-            cache.get(8)
+        with pytest.raises(ValueError, match="records.cache:2: base 10000000000 is not prime"):
+            cache.get(10 ** 10)
+    assert cache.get(8) is None
