@@ -8,7 +8,10 @@ an unusable --cache file or an internal error, 3 factorization budget exhausted.
 
 Each ``main`` call builds its own parser. Every subparser takes --p, --q,
 --json, --cache and --budget from one parent parser built in that call, and
-binds its runner with ``set_defaults``. A runner reads the argparse
+binds its runner with ``set_defaults``. Every parser of a call shares one
+HelpFormatter width, read from the terminal once per call: argparse would
+read it in each of the 35 formatters one build creates, and a new read per
+call still follows a changed terminal or COLUMNS. A runner reads the argparse
 namespace, the validated LucasParams and the run's FactorCache and returns
 ``(json_results, text_lines)``; ``run`` prints the one JSON record or the
 lines. ``run`` is also the one place where rejections become exit 1: a
@@ -26,12 +29,12 @@ file); seq and rank never load the file. The file holds only integers of
 10^10 or more, which trial division cannot settle, and is read on the first
 lookup or store of one, so a run that needs none never opens it. A --k below
 2, an --a of 0, a bad --p or --q, a negative --budget, an index past the cap
-100000 (--max, --to, --n, --indices) and an index or count below its bound
-exit 2 before the file is read or written. A file record is checked when the
-run first reads it, so a corrupt record that the run reads exits 2 naming
-``file:line``, and one it never reads is neither checked nor reported. The
-file receives every complete factorization of 10^10 or more the run holds,
-each once, and nothing partial.
+100000 (--max, --to, --n, --indices), an index or count below its bound
+and a --to below --from exit 2 before the file is read or written. A file
+record is checked when the run first reads it, so a corrupt record that the
+run reads exits 2 naming ``file:line``, and one it never reads is neither
+checked nor reported. The file receives every complete factorization of
+10^10 or more the run holds, each once, and nothing partial.
 
 classify, abc-quality and primitive factor each term U_n with
 ``primitive.factor_term``, which divides out the primes of every U_{n/l} (l
@@ -49,7 +52,9 @@ the prime table it prints. solve, admissible and verify factor whole terms, thro
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import shutil
 import sys
 
 from .abc_evidence import quality_report
@@ -184,6 +189,8 @@ _QUALITY_COLUMNS = ("height", "radical", "quality", "lower_slack", "upper_slack_
 def _run_abc_quality(args: argparse.Namespace, params: LucasParams, cache: FactorCache | None) -> _Output:
     if args.from_n < 1:
         raise ValueError(f"--from must be >= 1, got {args.from_n}")
+    if args.to_n < args.from_n:
+        raise ValueError(f"--to must be >= --from ({args.from_n}), got {args.to_n}")
     results, lines = [], ["n " + " ".join(_QUALITY_COLUMNS)]
     for n in range(args.from_n, args.to_n + 1):
         factor_term(params, n, cache=cache)  # the split; quality_report reads U_n from the cache
@@ -196,14 +203,19 @@ def _run_abc_quality(args: argparse.Namespace, params: LucasParams, cache: Facto
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # One build creates 35 HelpFormatters, and each one given no width reads
+    # the terminal. Read it once, as HelpFormatter does (columns - 2), and
+    # give that width to every parser of this call.
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="lucasprod",
         description="Reduce A*y^k = products of Lucas terms to checkable conditions.",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     # The options every subcommand takes, defined once: each add_argument
     # builds a HelpFormatter, so eight copies would cost eight times as much.
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, formatter_class=formatter)
     common.add_argument("--p", type=int, required=True, help="recurrence coefficient P")
     common.add_argument("--q", type=int, required=True, help="recurrence coefficient Q, +1 or -1")
     common.add_argument("--json", action="store_true", dest="as_json", help="emit one JSON record")
@@ -211,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget", type=int, default=DEFAULT_RHO_BUDGET, help="rho iterations per composite")
 
     def command(name: str, runner, help: str) -> argparse.ArgumentParser:
-        sp = sub.add_parser(name, help=help, parents=[common])
+        sp = sub.add_parser(name, help=help, parents=[common], formatter_class=formatter)
         # a and k are in every JSON record's params, also where no flag sets them.
         sp.set_defaults(runner=runner, a=None, k=2)
         return sp

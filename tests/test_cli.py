@@ -415,6 +415,42 @@ def test_no_state_leaks_between_main_calls(capsys):
         assert got == (proc.returncode, proc.stdout, proc.stderr), argv
 
 
+def test_one_terminal_read_per_call(capsys, monkeypatch):
+    """Every parser of a call shares one help width, so the terminal is read
+    once per call, not once per HelpFormatter argparse builds."""
+    reads = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: reads.append(a) or size(*a))
+    argv = ["verify", *FIB, "--a", "5", "--indices", "5"]
+    assert run_cli(capsys, argv)[0] == 0
+    assert len(reads) == 1
+    reads.clear()
+    code, out, _ = run_cli(capsys, ["verify", "--help"])
+    assert (code, len(reads)) == (0, 1)
+    assert out.startswith("usage: lucasprod verify ")
+
+
+def test_help_width_is_read_per_call(capsys, monkeypatch):
+    """A COLUMNS change between two calls in one process reaches the second
+    call's help text, which equals that of a new process."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    helps = []
+    for columns in ("50", "140"):
+        monkeypatch.setenv("COLUMNS", columns)
+        got = run_cli(capsys, ["verify", "--help"])
+        proc = subprocess.run(
+            [sys.executable, "-m", "lucasprod.cli", "verify", "--help"],
+            capture_output=True,
+            text=True,
+            env={**env, "COLUMNS": columns},
+            timeout=60,
+        )
+        assert got == (proc.returncode, proc.stdout, proc.stderr), columns
+        assert (got[0], got[2]) == (0, ""), columns
+        helps.append(got[1])
+    assert helps[0] != helps[1]
+
+
 def test_budget_exhaustion_names_the_composite(capsys):
     code, out, err = run_cli(capsys, ["classify", *FIB, "--max", "77", "--budget", "100"])
     assert code == 3
@@ -532,12 +568,13 @@ def test_index_past_the_cap_is_rejected_before_the_cache_file(tmp_path, capsys, 
     [
         (["classify", "--max", "0"], "--max must be >= 1, got 0"),
         (["abc-quality", "--from", "0", "--to", "5"], "--from must be >= 1, got 0"),
+        (["abc-quality", "--from", "5", "--to", "3"], "--to must be >= --from (5), got 3"),
         (["admissible", "--a", "5", "--max", "1"], "max_index must be >= 2, got 1"),
         (["solve", "--a", "5", "--max", "10", "--r", "0"], "max_factors must be >= 1, got 0"),
         (["primitive", "--n", "-1"], "index must be >= 1, got -1"),
         (["verify", "--a", "5", "--indices", "0"], "indices must be >= 1, got (0,)"),
     ],
-    ids=["classify", "abc-quality", "admissible", "solve", "primitive", "verify"],
+    ids=["classify", "abc-quality", "abc-quality-to", "admissible", "solve", "primitive", "verify"],
 )
 def test_index_below_its_bound_is_rejected_before_the_cache_file(tmp_path, capsys, argv, message):
     path = tmp_path / "F"
