@@ -6,11 +6,11 @@ byte-identical output. Exit codes separate the outcomes: 0 success, 1 a
 mathematical rejection (including a --prime proved composite), 2 bad usage,
 an unusable --cache file or an internal error, 3 factorization budget exhausted.
 
-Each ``main`` call builds its own parser. Every subparser takes --p, --q,
---json, --cache and --budget from one parent parser built in that call, and
-binds its runner with ``set_defaults``. Every parser of a call shares one
+Each ``main`` call builds its own parser. Every subparser takes -h, --p,
+--q, --json, --cache and --budget from one parent parser built in that call,
+and binds its runner with ``set_defaults``. Every parser of a call shares one
 HelpFormatter width, read from the terminal once per call: argparse would
-read it in each of the 35 formatters one build creates, and a new read per
+read it in each of the 27 formatters one build creates, and a new read per
 call still follows a changed terminal or COLUMNS. A runner reads the argparse
 namespace, the validated LucasParams and the run's FactorCache and returns
 ``(json_results, text_lines)``; ``run`` prints the one JSON record or the
@@ -203,19 +203,22 @@ def _run_abc_quality(args: argparse.Namespace, params: LucasParams, cache: Facto
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # One build creates 35 HelpFormatters, and each one given no width reads
-    # the terminal. Read it once, as HelpFormatter does (columns - 2), and
-    # give that width to every parser of this call.
+    # One build makes 27 add_argument calls, each with its own HelpFormatter,
+    # and each formatter given no width reads the terminal. Read it once, as
+    # HelpFormatter does (columns - 2), and give that width to every parser
+    # of this call.
     formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="lucasprod",
         description="Reduce A*y^k = products of Lucas terms to checkable conditions.",
         formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    # The options every subcommand takes, defined once: each add_argument
-    # builds a HelpFormatter, so eight copies would cost eight times as much.
-    common = argparse.ArgumentParser(add_help=False, formatter_class=formatter)
+    # A given prog spares the HelpFormatter argparse would build to derive it.
+    sub = parser.add_subparsers(dest="subcommand", required=True, prog="lucasprod")
+    # The options every subcommand takes, -h included, defined once: each
+    # add_argument builds a HelpFormatter, so eight copies would cost eight
+    # times as much.
+    common = argparse.ArgumentParser(formatter_class=formatter)
     common.add_argument("--p", type=int, required=True, help="recurrence coefficient P")
     common.add_argument("--q", type=int, required=True, help="recurrence coefficient Q, +1 or -1")
     common.add_argument("--json", action="store_true", dest="as_json", help="emit one JSON record")
@@ -223,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget", type=int, default=DEFAULT_RHO_BUDGET, help="rho iterations per composite")
 
     def command(name: str, runner, help: str) -> argparse.ArgumentParser:
-        sp = sub.add_parser(name, help=help, parents=[common], formatter_class=formatter)
+        sp = sub.add_parser(name, help=help, parents=[common], add_help=False, formatter_class=formatter)
         # a and k are in every JSON record's params, also where no flag sets them.
         sp.set_defaults(runner=runner, a=None, k=2)
         return sp

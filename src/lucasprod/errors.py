@@ -18,8 +18,11 @@ class LucasProdError(Exception):
 class IncompleteFactorization(LucasProdError):
     """A factorization stopped with a composite cofactor.
 
-    ``cofactor`` is the stuck composite; ``index``, when known, is the first
-    Lucas index d | n whose own primitive part stuck while U_n was factored.
+    ``cofactor`` is the stuck composite; ``index``, when known, is a Lucas
+    index. From ``primitive.factor_term`` it is the first d | n whose own
+    primitive part stuck while U_n was split; from
+    ``solver.admissible_indices`` and ``verify_solution`` it is the index of
+    the whole term they factored.
     """
 
     def __init__(self, cofactor: int, index: int | None = None):

@@ -4,7 +4,10 @@ Nothing here imports the package under test; every function recomputes its
 answer from first principles so disagreements point at real bugs.
 """
 
+import argparse
+import functools
 import math
+import shutil
 from itertools import combinations
 
 
@@ -224,3 +227,67 @@ def brent_rho_reference(n: int, budget: int) -> int | None:
             return g
         # g == n even stepwise: retry with the next increment.
     return None
+
+
+def reference_parser():
+    """The CLI's argparse tree as an older build made it, for its help, usage
+    and error text: each subparser builds its own -h, and argparse derives
+    the subcommand prefix from the top usage. Runners and the --budget
+    default are placeholders; no argv that exits inside argparse reaches
+    them, and the help text names neither."""
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser = argparse.ArgumentParser(
+        prog="lucasprod",
+        description="Reduce A*y^k = products of Lucas terms to checkable conditions.",
+        formatter_class=formatter,
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    common = argparse.ArgumentParser(add_help=False, formatter_class=formatter)
+    common.add_argument("--p", type=int, required=True, help="recurrence coefficient P")
+    common.add_argument("--q", type=int, required=True, help="recurrence coefficient Q, +1 or -1")
+    common.add_argument("--json", action="store_true", dest="as_json", help="emit one JSON record")
+    common.add_argument("--cache", default=None, help="factor cache file")
+    common.add_argument("--budget", type=int, default=None, help="rho iterations per composite")
+
+    def command(name, help):
+        sp = sub.add_parser(name, help=help, parents=[common], formatter_class=formatter)
+        sp.set_defaults(runner=None, a=None, k=2)
+        return sp
+
+    sp = command("seq", "print U_1..U_N")
+    sp.add_argument("--max", type=int, required=True, dest="max_index", help="largest index N")
+
+    sp = command("classify", "k-power-free parts and square classes of U_1..U_N")
+    sp.add_argument("--max", type=int, required=True, dest="max_index")
+    sp.add_argument("--k", type=int, help="power-free exponent (default 2)")
+
+    sp = command("admissible", "indices whose k-free part is supported on the primes of A")
+    sp.add_argument("--a", type=int, required=True, help="coefficient A")
+    sp.add_argument("--k", type=int)
+    sp.add_argument("--max", type=int, required=True, dest="max_index")
+
+    sp = command("solve", "all solutions of A*y^k = U_{n_1}...U_{n_r}")
+    sp.add_argument("--a", type=int, required=True)
+    sp.add_argument("--k", type=int)
+    sp.add_argument("--max", type=int, required=True, dest="max_index")
+    sp.add_argument("--r", type=int, default=2, dest="max_factors", help="largest factor count (default 2)")
+
+    sp = command("verify", "check one index tuple and print its certificate")
+    sp.add_argument("--a", type=int, required=True)
+    sp.add_argument("--k", type=int)
+    sp.add_argument("--indices", type=str, required=True, help="comma-separated indices, e.g. 5,12")
+
+    sp = command("rank", "rank of apparition z(p)")
+    sp.add_argument("--prime", type=int, required=True)
+
+    sp = command("primitive", "prime divisors of U_n with primitivity marks")
+    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--a", type=int, help="also run the obstruction filter for this A")
+    sp.add_argument("--k", type=int)
+
+    sp = command("abc-quality", "height/radical quality table over an index range")
+    sp.add_argument("--k", type=int)
+    sp.add_argument("--from", type=int, required=True, dest="from_n", help="first index")
+    sp.add_argument("--to", type=int, required=True, dest="to_n", help="last index")
+
+    return parser

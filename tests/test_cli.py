@@ -8,6 +8,7 @@ point being tested.
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -33,6 +34,8 @@ from lucasprod import (
 from lucasprod.cli import main
 from lucasprod.factoring import factorize, power_free_part
 from lucasprod.lucas import lucas_u, validate_params
+
+from _oracles import reference_parser
 
 FIB = ["--p", "1", "--q", "1"]
 # A cache file holds only |N| >= 10^10, so a record a run reads is at least
@@ -428,6 +431,76 @@ def test_one_terminal_read_per_call(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["verify", "--help"])
     assert (code, len(reads)) == (0, 1)
     assert out.startswith("usage: lucasprod verify ")
+
+
+# A valid call of each subcommand; every argv built from these below exits
+# inside argparse, with help or a usage error.
+VALID_CALLS = {
+    "seq": ["--max", "5"],
+    "classify": ["--max", "5"],
+    "admissible": ["--a", "5", "--max", "5"],
+    "solve": ["--a", "5", "--max", "5"],
+    "verify": ["--a", "5", "--indices", "5"],
+    "rank": ["--prime", "7"],
+    "primitive": ["--n", "5"],
+    "abc-quality": ["--from", "1", "--to", "3"],
+}
+ARGPARSE_EXITS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["frobnicate", *FIB],
+    *(
+        shape
+        for name, valid in VALID_CALLS.items()
+        for shape in (
+            [name, "-h"],
+            [name, "--help"],
+            [name],
+            [name, "--p"],
+            [name, *FIB, "-h"],
+            [name, *FIB, *valid, "--bogus"],
+        )
+    ),
+]
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_help_usage_and_errors_match_the_reference_parser(capsys, monkeypatch, columns):
+    """Help, usage and error text, and the exit code, equal those of a parser
+    in which each subparser builds its own -h and argparse derives the
+    subcommand prefix."""
+    monkeypatch.setenv("COLUMNS", columns)
+    for argv in ARGPARSE_EXITS:
+        got = run_cli(capsys, argv)
+        with pytest.raises(SystemExit) as exc:
+            reference_parser().parse_args(argv)
+        captured = capsys.readouterr()
+        assert got == (exc.value.code or 0, captured.out, captured.err), argv
+        assert got[0] in (0, 2) and (got[1] or got[2]), argv
+
+
+def test_one_build_makes_27_add_argument_calls_and_10_parsers(capsys, monkeypatch):
+    """The top parser, the shared parent and the 8 subparsers are the 10
+    parsers. -h comes once from the shared parent, so the 27 add_argument
+    calls are the top parser's -h, the parent's -h and 5 options, and the 20
+    options of the subcommands' own; each subparser building its own -h made
+    34."""
+    calls = Counter()
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(argparse._ActionsContainer, "add_argument")
+    counted(argparse.ArgumentParser, "__init__")
+    assert run_cli(capsys, ["verify", *FIB, "--a", "5", "--indices", "5"])[0] == 0
+    assert (calls["add_argument"], calls["__init__"]) == (27, 10)
 
 
 def test_help_width_is_read_per_call(capsys, monkeypatch):
