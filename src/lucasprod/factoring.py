@@ -1,25 +1,32 @@
 """Exact factorization of big integers, with budgeted rho and a line cache.
 
-Pipeline: trial division up to 10^5, a primality test (Miller-Rabin,
-deterministic below ~3.3e24, and Baillie-PSW above), perfect-power peeling
-(a root is factored once, for all its copies), one Pollard p-1 step on the
-first composite left, then Brent's variant of Pollard rho with deterministic
-restarts on each composite still left. The step is one gcd,
-g = gcd(2^L - 1, c) with L = lcm(1..2000): g gathers every prime p of c whose
-order of 2 divides L, every p with p - 1 | L among them, and splits c unless
-it gathers all of its primes or none. The budget counts rho iterations per
-composite, not the step; when it runs out the result is Partial, and callers
-that need completeness get IncompleteFactorization. An iteration is one rho
-sequence step. Rho reduces the sequence every step, and its product of
-differences once per four steps: the product is reduced before every gcd, so
-it is the one that reducing every step gives, and no operand grows past
+Pipeline: trial division up to 10^5, a primality test (Miller-Rabin with
+bases sized to n, deterministic below ~3.3e24, and Baillie-PSW above),
+perfect-power peeling (a root is factored once, for all its copies), one
+Pollard p-1 step on the first composite left, then Brent's variant of Pollard
+rho with deterministic restarts on each composite still left. The step is one
+gcd, g = gcd(2^L - 1, c) with L = lcm(1..2000): g gathers every prime p of c
+whose order of 2 divides L, every p with p - 1 | L among them, and splits c
+unless it gathers all of its primes or none. The budget counts rho iterations
+per composite, not the step; when it runs out the result is Partial, and
+callers that need completeness get IncompleteFactorization. An iteration is
+one rho sequence step. Rho reduces the sequence every step, and its product
+of differences once per four steps: the product is reduced before every gcd,
+so it is the one that reducing every step gives, and no operand grows past
 five times the composite's width.
 
 The trial tables are built at import with C-level loops: a byte sieve below
-10^5, the 9,592 primes it marks in one machine-int ``array``, and chunks of
-64 primes, each kept as (first prime, slice bounds, product). One gcd with
-the product screens a chunk, and only a chunk it does not clear is sliced
-out of the array and divided prime by prime.
+10^5, the 9,592 primes it marks in one machine-int ``array`` (2, then the odd
+primes read off the odd half of the sieve), chunks of 64 primes, each kept as
+(first prime, slice bounds, product), and blocks of chunks, each kept as
+(first prime, chunks, product of the chunk products): the first chunk alone,
+then 8 chunks to a block. Trial division is a two-level screen. One gcd with
+a block's product clears the whole block; in a block it does not clear, a gcd
+per chunk picks the chunks that share a prime with m, and each such chunk is
+sliced out of the array and walked only until the primes its gcd names are
+divided out. Both levels stop once the square of the next first prime exceeds
+what is left, so the screen leaves the same factors and cofactor as dividing
+by every prime of every chunk up to that point.
 
 A FactorCache is the one factoring context of a run: it carries the rho
 budget and makes each distinct integer cost one factorization. Every function
@@ -55,7 +62,9 @@ DEFAULT_RHO_BUDGET = 10 ** 8
 
 # _TRIAL_SIEVE[p] == 1 exactly for the primes p below the trial limit.
 _TRIAL_SIEVE = prime_sieve(TRIAL_DIVISION_LIMIT)
-_TRIAL_PRIMES = array("l", compress(range(TRIAL_DIVISION_LIMIT), _TRIAL_SIEVE))
+# 2, then the odd primes, read off the odd half of the sieve.
+_TRIAL_PRIMES = array("l", [2])
+_TRIAL_PRIMES.extend(compress(range(1, TRIAL_DIVISION_LIMIT, 2), _TRIAL_SIEVE[1::2]))
 # Trial primes in chunks of 64, each as (first prime, start, stop, product of
 # _TRIAL_PRIMES[start:stop]): one gcd with the product tells whether any
 # prime of the chunk divides.
@@ -63,6 +72,17 @@ _TRIAL_CHUNK = 64
 _TRIAL_CHUNKS = tuple(
     (_TRIAL_PRIMES[i], i, i + _TRIAL_CHUNK, math.prod(_TRIAL_PRIMES[i : i + _TRIAL_CHUNK]))
     for i in range(0, len(_TRIAL_PRIMES), _TRIAL_CHUNK)
+)
+# The chunks in blocks, each as (first prime, its chunks, product of their
+# products): one gcd with the product screens a block. The first chunk, the
+# primes up to 311, is a block of its own: most inputs are below 313^2, so the
+# scan ends after it and they pay no gcd with a larger product. The rest go 8
+# chunks to a block.
+_TRIAL_BLOCK = 8
+_TRIAL_BLOCKS = tuple(
+    (chunks[0][0], chunks, math.prod(chunk[3] for chunk in chunks))
+    for chunks in [_TRIAL_CHUNKS[:1]]
+    + [_TRIAL_CHUNKS[i : i + _TRIAL_BLOCK] for i in range(1, len(_TRIAL_CHUNKS), _TRIAL_BLOCK)]
 )
 # Squares of numbers with no prime factor below the trial limit are at least this.
 _TRIAL_LIMIT_SQUARED = TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT
@@ -144,32 +164,41 @@ class FactorCache:
             raise ValueError(f"budget must be >= 0, got {budget}")
         self.path = path
         self.budget = budget
-        # N -> its Factorization, or (line number, line) of a file record not read yet.
-        self._entries: dict[int, Factorization | tuple[int, str]] = {}
+        # N -> its Factorization, for every N in memory.
+        self._entries: dict[int, Factorization] = {}
+        # str(N) -> (line number, line) of a file record not read yet.
+        self._records: dict[str, tuple[int, str]] = {}
         # True while the file's last line lacks its newline, which an append adds first.
         self._newline_due = False
         # True until the file is indexed, on the first get or add of an |N| >= 10^10.
         self._unindexed = path is not None
 
     def __len__(self) -> int:
-        return len(self._entries)  # never indexes the file
+        return len(self._entries) + len(self._records)  # never indexes the file
 
     def _index(self) -> None:
         path = self.path
         if os.path.exists(path):
             # A non-ASCII byte reads as U+FFFD, which no int() accepts: its record is malformed.
             with open(path, "r", encoding="ascii", errors="replace") as handle:
-                for lineno, line in enumerate(handle, start=1):
-                    self._newline_due = not line.endswith("\n")
-                    head = line.split(None, 1)
-                    if not head:
-                        continue
-                    try:
-                        n = int(head[0])
-                    except ValueError as exc:
-                        raise ValueError(f"{path}:{lineno}: malformed cache line {line.strip()!r}") from exc
-                    if abs(n) >= _TRIAL_LIMIT_SQUARED:  # a smaller record is never read
-                        self._entries[n] = (lineno, line)
+                text = handle.read()
+            self._newline_due = text != "" and not text.endswith("\n")
+            records = self._records
+            for lineno, line in enumerate(text.split("\n"), start=1):
+                head = line.partition(" ")[0]
+                if head.isdigit() and head[0] != "0":  # canonical N >= 1, keyed as written
+                    if len(head) > 10:  # N >= 10^10; a smaller record is never read
+                        records[head] = (lineno, line)
+                    continue
+                fields = line.split(None, 1)
+                if not fields:
+                    continue
+                try:
+                    n = int(fields[0])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: malformed cache line {line.strip()!r}") from exc
+                if abs(n) >= _TRIAL_LIMIT_SQUARED:
+                    records[str(n)] = (lineno, line)
         self._unindexed = False  # after a clean pass only, so a malformed line raises on every access
 
     def _parse(self, n: int, lineno: int, line: str) -> Factorization:
@@ -212,9 +241,13 @@ class FactorCache:
         if self._unindexed and abs(n) >= _TRIAL_LIMIT_SQUARED:
             self._index()
         hit = self._entries.get(n)
-        if type(hit) is tuple:  # a Factorization is a tuple too, of its own type
-            # A corrupt record raises here and stays unread, so every read raises.
-            hit = self._entries[n] = self._parse(n, *hit)
+        if hit is None and self._records:
+            key = str(n)
+            record = self._records.get(key)
+            if record is not None:
+                # A corrupt record raises here and stays unread, so every read raises.
+                hit = self._entries[n] = self._parse(n, *record)
+                del self._records[key]
         return hit.copy() if hit is not None else None
 
     def add(self, n: int, fac: Factorization) -> None:
@@ -227,7 +260,7 @@ class FactorCache:
         on_file = self.path is not None and abs(n) >= _TRIAL_LIMIT_SQUARED
         if on_file and self._unindexed:
             self._index()
-        if n in self._entries:
+        if n in self._entries or (on_file and str(n) in self._records):
             return
         self._entries[n] = fac.copy()
         if on_file:
@@ -291,6 +324,41 @@ def _brent_rho(n: int, budget: int) -> int | None:
     return None
 
 
+def _trial_divide(m: int) -> tuple[dict[int, int], int]:
+    """The primes below the trial limit that divide m >= 1, with their
+    exponents, and what is left of m. One gcd screens a block, and only a
+    block that shares a prime with m is scanned chunk by chunk."""
+    factors: dict[int, int] = {}
+    for block_first, chunks, block_product in _TRIAL_BLOCKS:
+        if block_first * block_first > m:
+            break  # m has no prime below block_first, so it is 1 or prime
+        # g, then h: the product of the block's, then the chunk's, primes that divide m.
+        g = math.gcd(m, block_product)
+        if g == 1:
+            continue
+        for first, start, stop, product in chunks:
+            if first * first > m:
+                break  # and the next block's first prime, larger still, ends the scan
+            h = math.gcd(g, product)
+            if h == 1:
+                continue
+            g //= h
+            for p in _TRIAL_PRIMES[start:stop]:
+                if h % p == 0:
+                    m //= p
+                    e = 1
+                    while m % p == 0:
+                        m //= p
+                        e += 1
+                    factors[p] = e
+                    h //= p
+                    if h == 1:
+                        break
+            if g == 1:
+                break  # no later chunk of the block divides m
+    return factors, m
+
+
 def factorize(n: int, cache: FactorCache | None = None) -> Factorization:
     """Factor a nonzero integer; Partial (composite cofactor) when the budget
     runs out. The budget is the cache's.
@@ -302,17 +370,7 @@ def factorize(n: int, cache: FactorCache | None = None) -> Factorization:
     if hit is not None:
         return hit
     sign = 1 if n > 0 else -1
-    m = abs(n)
-    factors: dict[int, int] = {}
-    for first, start, stop, product in _TRIAL_CHUNKS:
-        if first * first > m:
-            break  # m has no prime below first, so it is 1 or prime
-        if math.gcd(m, product) == 1:
-            continue
-        for p in _TRIAL_PRIMES[start:stop]:
-            while m % p == 0:
-                factors[p] = factors.get(p, 0) + 1
-                m //= p
+    factors, m = _trial_divide(abs(n))
 
     cofactor = 1
     # (composite or prime, multiplicity): a peeled root is factored once for all its copies.

@@ -10,11 +10,32 @@ from math import isqrt
 
 from .lucas import _doubling_pair, validate_params
 
-# The first 13 primes are a proven Miller-Rabin witness set for every n below
-# psi_13 ~ 3.3 * 10^24 (Sorenson-Webster, Math. Comp. 86 (2017)), which
-# covers all 64-bit inputs. Above that is_probable_prime runs Baillie-PSW.
+# Deterministic Miller-Rabin tiers, as (limit, bases) by increasing limit: n
+# takes the first tier whose limit exceeds it, and is prime if it is a strong
+# probable prime to each of that tier's bases. psi_k, the least strong
+# pseudoprime to the first k prime bases (OEIS A014233), is the limit of the
+# tier of the first k primes: Pomerance-Selfridge-Wagstaff, Math. Comp. 35
+# (1980) and Jaeschke, Math. Comp. 61 (1993) up to psi_8; Jiang-Deng, Math.
+# Comp. 83 (2014) for psi_9 = psi_10 = psi_11; Sorenson-Webster, Math. Comp. 86
+# (2017) for psi_12 and psi_13. Between psi_8 and 2^64, Jim Sinclair's seven
+# bases (2011, checked against Feitsma's list of every base-2 strong
+# pseudoprime below 2^64) take the place of the first 9 or 12 primes. From
+# psi_13 ~ 3.3 * 10^24 up, is_probable_prime runs Baillie-PSW.
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
+_MR_SINCLAIR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+_MR_TIERS = (
+    (2_047, _MR_BASES_64[:1]),
+    (1_373_653, _MR_BASES_64[:2]),
+    (25_326_001, _MR_BASES_64[:3]),
+    (3_215_031_751, _MR_BASES_64[:4]),
+    (2_152_302_898_747, _MR_BASES_64[:5]),
+    (3_474_749_660_383, _MR_BASES_64[:6]),
+    (341_550_071_728_321, _MR_BASES_64[:7]),  # psi_7 = psi_8
+    (1 << 64, _MR_SINCLAIR_BASES),
+    (318_665_857_834_031_151_167_461, _MR_BASES_64[:12]),  # psi_12
+    (3_317_044_064_679_887_385_961_981, _MR_BASES_64),  # psi_13
+)
+_MR_DETERMINISTIC_LIMIT = _MR_TIERS[-1][0]
 
 
 def prime_sieve(limit: int) -> bytearray:
@@ -76,17 +97,18 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 def is_probable_prime(n: int) -> bool:
     """Primality test, proven below ~3.3e24 and Baillie-PSW above.
 
-    Below the limit it is Miller-Rabin to the first 13 prime bases; above it,
-    a strong test to base 2 and the extra strong Lucas test, which no known
-    composite passes together.
+    Below the limit it is Miller-Rabin to the bases of the first tier in
+    _MR_TIERS whose limit exceeds n; above it, a strong test to base 2 and the
+    extra strong Lucas test, which no known composite passes together.
     """
     if n < 2:
         return False
     for p in _MR_BASES_64:
         if n % p == 0:
             return n == p
-    if n < _MR_DETERMINISTIC_LIMIT:
-        return all(_strong_probable_prime(n, b) for b in _MR_BASES_64)
+    for limit, bases in _MR_TIERS:
+        if n < limit:
+            return all(_strong_probable_prime(n, b) for b in bases)
     return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
 
 

@@ -174,6 +174,72 @@ def miller_rabin_40(n):
     return True
 
 
+# lucasprod.factoring's trial division as it was with one gcd per chunk of 64
+# primes below 10^5, the chunk tables restated. The package's screen must leave
+# the same factors and the same cofactor for every m.
+_TRIAL_LIMIT = 100_000
+_TRIAL_CHUNK = 64
+
+
+@functools.cache
+def trial_chunks():
+    """The primes below 10^5, and the chunks (first prime, start, stop, product)."""
+    primes = primes_below(_TRIAL_LIMIT)
+    chunks = tuple(
+        (primes[i], i, i + _TRIAL_CHUNK, math.prod(primes[i : i + _TRIAL_CHUNK]))
+        for i in range(0, len(primes), _TRIAL_CHUNK)
+    )
+    return primes, chunks
+
+
+def trial_division_reference(m):
+    """(factors, cofactor) of m >= 1 after trial division by the primes below 10^5."""
+    primes, chunks = trial_chunks()
+    factors = {}
+    for first, start, stop, product in chunks:
+        if first * first > m:
+            break  # m has no prime below first, so it is 1 or prime
+        if math.gcd(m, product) == 1:
+            continue
+        for p in primes[start:stop]:
+            while m % p == 0:
+                factors[p] = factors.get(p, 0) + 1
+                m //= p
+    return factors, m
+
+
+# lucasprod.intmath's primality test below psi_13 as it was with the first 13
+# prime bases at every size: proven there (Sorenson-Webster, Math. Comp. 86 (2017)).
+MR_BASES_13 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
+def strong_probable_prime_reference(n, base):
+    if base % n == 0:
+        return True
+    r = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(base, (n - 1) >> r, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def miller_rabin_13(n):
+    """Primality of n < psi_13 by the strong test to the first 13 prime bases."""
+    if n >= PSI_13:
+        raise ValueError(f"{n} is not below psi_13, where 13 bases are proven")
+    if n < 2:
+        return False
+    for p in MR_BASES_13:
+        if n % p == 0:
+            return n == p
+    return all(strong_probable_prime_reference(n, b) for b in MR_BASES_13)
+
+
 def legendre_by_euler(a, p):
     """Legendre symbol (a/p) for an odd prime p by Euler's criterion."""
     r = pow(a, (p - 1) // 2, p)

@@ -23,6 +23,8 @@ from _oracles import (
     kth_power_free_part,
     power_free_by_scan,
     primes_below,
+    trial_chunks,
+    trial_division_reference,
     trial_factorize,
 )
 
@@ -161,7 +163,57 @@ def test_trial_tables_and_pm1_exponent():
         assert product == math.prod(chunk)
         covered += chunk
     assert covered == primes_below(TRIAL_DIVISION_LIMIT)
+    chunks = [chunk for _, block, _ in factoring._TRIAL_BLOCKS for chunk in block]
+    assert tuple(chunks) == factoring._TRIAL_CHUNKS
+    for first, block, product in factoring._TRIAL_BLOCKS:
+        assert first == block[0][0] and 1 <= len(block) <= 8
+        assert product == math.prod(chunk[3] for chunk in block)
     assert factoring._PM1_L == math.lcm(*range(1, 2001))
+
+
+def _trial_edges():
+    """The first and last prime of every chunk and of every block."""
+    primes, chunks = trial_chunks()
+    edges = set()
+    for first, _, stop, _ in chunks:
+        edges.update((first, primes[min(stop, len(primes)) - 1]))
+    for first, block, _ in factoring._TRIAL_BLOCKS:
+        edges.update((first, primes[min(block[-1][2], len(primes)) - 1]))
+    return sorted(edges)
+
+
+def test_trial_screen_matches_chunk_loop_on_products_of_trial_primes():
+    primes, _ = trial_chunks()
+    edges = _trial_edges()
+    rng = random.Random(29)
+    big = [_next_prime(10 ** 5), _next_prime(10 ** 9), _next_prime(2 ** 64), _next_prime(10 ** 40)]
+    for trial in range(3000):
+        pool = edges if trial % 2 else primes
+        m = 1
+        for p in rng.sample(pool, rng.randint(1, 6)):
+            m *= p ** rng.choice((1, 1, 1, 2, 3, 7))  # prime powers too
+        if trial % 3 == 0:
+            m *= rng.choice(big)  # a survivor for peeling, p-1 and rho
+        assert factoring._trial_divide(m) == trial_division_reference(m), m
+    for p in edges:
+        for m in (p, p ** 2, p ** 5, 2 * p, p * big[1], p * big[0] ** 2):
+            assert factoring._trial_divide(m) == trial_division_reference(m), m
+
+
+def test_trial_screen_exits_where_the_chunk_loop_does():
+    # m just below and above first^2 for the first prime of every chunk (the
+    # blocks' firsts among them), bare or behind small factors.
+    _, chunks = trial_chunks()
+    for first, _, _, _ in chunks:
+        square = first * first
+        below = square - 1
+        while not is_probable_prime(below):
+            below -= 1
+        for m in (square - 2, square - 1, square, square + 1, square + 2, below, _next_prime(square)):
+            for small in (1, 2, 6, 2 ** 5 * 3 ** 3, first):
+                n = m * small
+                assert factoring._trial_divide(n) == trial_division_reference(n), n
+    assert factoring._trial_divide(1) == ({}, 1)
 
 
 def _recording_rho(monkeypatch):
@@ -554,6 +606,25 @@ def test_cache_last_record_of_a_repeated_n_wins(tmp_path):
     path.write_text("10000000000 1 2^10 5^10\n10000000000 1 3^1\n", encoding="ascii")
     with pytest.raises(ValueError, match="twice.cache:2: record does not reconstruct 10000000000"):
         FactorCache(str(path)).get(10 ** 10)
+
+
+def test_cache_keys_any_spelling_of_n_by_its_value(tmp_path):
+    # Leading zeros, a plus sign, a tab, leading blanks and CRLF all name the
+    # same N as its canonical digits, and the last line still wins.
+    path = tmp_path / "spelled.cache"
+    text = (
+        f"+00{N12_RECORD}\n{N30}\t1 2^11 3^1 5^11\r\n  10000000000 1 3^1\n"
+        f"{U60_RECORD}\n0010000000000 1 2^10 5^10\n-{N12} -1 2^12 3^1 5^10\n"
+    )
+    path.write_text(text, encoding="ascii")
+    cache = FactorCache(str(path))
+    assert cache.get(N12).factors == {2: 12, 3: 1, 5: 10}
+    assert cache.get(N30).factors == {2: 11, 3: 1, 5: 11}
+    assert cache.get(10 ** 10).factors == {2: 10, 5: 10}
+    assert cache.get(-N12).sign == -1
+    assert len(cache) == 5
+    cache.add(U60, factorize(U60))  # an unread record counts as present
+    assert path.read_text(encoding="ascii") == text.replace("\r\n", "\n")
 
 
 def test_power_free_part_writes_derived_records_once(tmp_path):
