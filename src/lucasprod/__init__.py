@@ -35,7 +35,6 @@ from .factoring import (
 )
 from .lucas import (
     LucasParams,
-    lucas_range,
     lucas_u,
     lucas_u_mod,
     validate_params,
@@ -73,7 +72,6 @@ __all__ = [
     "validate_params",
     "lucas_u",
     "lucas_u_mod",
-    "lucas_range",
     # factoring
     "Factorization",
     "FactorCache",

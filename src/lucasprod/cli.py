@@ -60,7 +60,7 @@ import sys
 from .abc_evidence import quality_report
 from .errors import IncompleteFactorization, LucasProdError, NotFoundWithinBound, VerificationError
 from .factoring import DEFAULT_RHO_BUDGET, FactorCache
-from .lucas import DEFAULT_INDEX_CAP, LucasParams, lucas_range, lucas_u, validate_params
+from .lucas import DEFAULT_INDEX_CAP, LucasParams, lucas_u, validate_params
 from .primitive import factor_term, obstruction_filter, primitive_divisors, rank_of_apparition
 from .solver import (
     ProductEquation,
@@ -103,7 +103,10 @@ def _certificate_line(cert: SolutionCertificate) -> str:
 def _run_seq(args: argparse.Namespace, params: LucasParams, cache: FactorCache | None) -> _Output:
     if args.max_index < 1:
         raise ValueError(f"--max must be >= 1, got {args.max_index}")
-    values = [str(v) for v in lucas_range(params, args.max_index)[1:]]
+    values, u, u_next = [], 1, params.p  # U_1, U_2
+    for _ in range(args.max_index):
+        values.append(str(u))
+        u, u_next = u_next, params.p * u_next + params.q * u
     return (
         [{"n": n, "value": v} for n, v in enumerate(values, 1)],
         [f"{n} {v}" for n, v in enumerate(values, 1)],

@@ -86,6 +86,8 @@ _TRIAL_BLOCKS = tuple(
 )
 # Squares of numbers with no prime factor below the trial limit are at least this.
 _TRIAL_LIMIT_SQUARED = TRIAL_DIVISION_LIMIT * TRIAL_DIVISION_LIMIT
+# The prime exponents j that perfect-power peeling tries, in order.
+_PEEL_EXPONENTS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
 def _largest_power_within(p: int, bound: int) -> int:
@@ -160,7 +162,7 @@ class FactorCache:
     """
 
     def __init__(self, path: str | None = None, budget: int = DEFAULT_RHO_BUDGET):
-        if budget < 0:  # before the file is read; 0 leaves all but rho
+        if budget < 0:  # first, so a bad --budget exits 2 before any cache access; 0 leaves all but rho
             raise ValueError(f"budget must be >= 0, got {budget}")
         self.path = path
         self.budget = budget
@@ -383,9 +385,10 @@ def factorize(n: int, cache: FactorCache | None = None) -> Factorization:
             factors[c] = factors.get(c, 0) + mult
             continue
         # Perfect-power peeling: rho converges slowly on high prime powers.
+        # c has no prime below the trial limit, so c = r^j needs c > limit^j.
         peeled = False
-        for j in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-            if (1 << j) > c:
+        for j in _PEEL_EXPONENTS:
+            if c < TRIAL_DIVISION_LIMIT ** j:
                 break
             root = integer_kth_root(c, j)
             if root ** j == c:

@@ -1,8 +1,9 @@
-"""Validated Lucas sequence parameters and exact computation of U_n.
+"""Validated Lucas sequence parameters and the term API: ``lucas_u`` and ``lucas_u_mod``.
 
 The sequence is U_0 = 0, U_1 = 1, U_{n+2} = p*U_{n+1} + q*U_n with q = +1 or
--1 and positive nonsquare discriminant delta = p^2 + 4q. All arithmetic here
-is exact.
+-1 and positive nonsquare discriminant delta = p^2 + 4q. ``lucas_u`` gives the
+exact U_n and ``lucas_u_mod`` gives U_n mod m, both by index doubling. A caller
+that walks U_1, U_2, ... in order steps the recurrence itself.
 """
 
 from __future__ import annotations
@@ -70,14 +71,3 @@ def lucas_u_mod(params: LucasParams, n: int, m: int) -> int:
         raise ValueError(f"modulus must be >= 1, got {m}")
     return _doubling_pair(params, n, m)[0]
 
-
-def lucas_range(params: LucasParams, n_max: int) -> list[int]:
-    """[U_0, U_1, ..., U_{n_max}] by the three-term recurrence."""
-    if n_max < 0:
-        raise ValueError(f"index must be >= 0, got {n_max}")
-    if n_max > DEFAULT_INDEX_CAP:
-        raise ValueError(f"index {n_max} exceeds the cap {DEFAULT_INDEX_CAP}")
-    terms = [0, 1]
-    for _ in range(n_max - 1):
-        terms.append(params.p * terms[-1] + params.q * terms[-2])
-    return terms[: n_max + 1]

@@ -18,7 +18,6 @@ from lucasprod import (
     binet_identity_residual,
     binet_radical,
     field_discriminant,
-    lucas_range,
     make_binet_triple,
     power_free_part,
     quality_report,
@@ -27,7 +26,7 @@ from lucasprod import (
 from lucasprod.abc_evidence import BinetTriple
 from lucasprod.intmath import kronecker_at_prime
 
-from _oracles import primes_below
+from _oracles import lucas_values, primes_below
 
 
 def test_field_data_examples():
@@ -117,7 +116,7 @@ def _mp_height(params, n, middle_magnitude):
 
 def test_height_matches_highprecision_reference(fib, pell):
     for params in (fib, pell):
-        values = lucas_range(params, 200)
+        values = lucas_values(params.p, params.q, 200)
         for n in range(1, 201):
             triple = BinetTriple(n, values[n], 1, 2)
             got = binet_height(params, triple)
@@ -127,7 +126,7 @@ def test_height_matches_highprecision_reference(fib, pell):
 
 def test_height_lower_bound(fib, pell):
     for params in (fib, pell):
-        values = lucas_range(params, 200)
+        values = lucas_values(params.p, params.q, 200)
         log_dominant = math.log((abs(params.p) + math.sqrt(params.delta)) / 2)
         for n in range(1, 201):
             triple = BinetTriple(n, values[n], 1, 2)
@@ -135,7 +134,7 @@ def test_height_lower_bound(fib, pell):
 
 
 def test_height_is_representation_independent(fib, shared_cache):
-    values = lucas_range(fib, 60)
+    values = lucas_values(fib.p, fib.q, 60)
     for n in range(1, 61):
         canonical = make_binet_triple(fib, n, 2, cache=shared_cache)
         plain = BinetTriple(n, values[n], 1, 2)
@@ -168,7 +167,7 @@ def test_radical_of_unit_triples(fib, pell):
 
 
 def test_radical_is_representation_independent(fib, shared_cache):
-    values = lucas_range(fib, 40)
+    values = lucas_values(fib.p, fib.q, 40)
     for n in range(1, 41):
         canonical = make_binet_triple(fib, n, 2, cache=shared_cache)
         plain = BinetTriple(n, values[n], 1, 2)

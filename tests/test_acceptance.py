@@ -23,7 +23,6 @@ from lucasprod import (
     binet_radical,
     enumerate_solutions,
     factorize,
-    lucas_range,
     lucas_u,
     make_binet_triple,
     obstruction_filter,
@@ -95,7 +94,7 @@ def test_c03_strong_divisibility_random():
     with report(3, "gcd(|U_a|,|U_b|) = |U_gcd(a,b)| on 500 random pairs for each of 4 parameter sets"):
         rng = random.Random(0xACC3)
         for p, q in ((1, 1), (2, 1), (3, -1), (-1, 1)):
-            us = lucas_range(validate_params(p, q), 200)
+            us = lucas_values(p, q, 200)
             failures = 0
             for _ in range(500):
                 a = rng.randint(1, 200)
@@ -151,7 +150,7 @@ def test_c05_valuation_separation(shared_cache):
 
 def test_c06_square_fibonacci_scan():
     with report(6, "perfect-square scan of U_n(1,1) for n <= 200 finds exactly n in {1, 2, 12}"):
-        us = lucas_range(validate_params(1, 1), 200)
+        us = lucas_values(1, 1, 200)
         squares = [n for n in range(1, 201) if math.isqrt(us[n]) ** 2 == us[n]]
         assert squares == [1, 2, 12]
 

@@ -35,7 +35,7 @@ from lucasprod.cli import main
 from lucasprod.factoring import factorize, power_free_part
 from lucasprod.lucas import lucas_u, validate_params
 
-from _oracles import reference_parser
+from _oracles import lucas_values, reference_parser
 
 FIB = ["--p", "1", "--q", "1"]
 # A cache file holds only |N| >= 10^10, so a record a run reads is at least
@@ -70,6 +70,19 @@ def test_seq_json_record(capsys):
         {"n": 4, "value": "3"},
         {"n": 5, "value": "5"},
     ]
+
+
+@pytest.mark.parametrize("max_index", [1, 2, 300])
+@pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (3, -1), (-3, -1), (-1, 1), (1000, 1)])
+def test_seq_matches_recurrence_oracle(capsys, p, q, max_index):
+    argv = ["seq", "--p", str(p), "--q", str(q), "--max", str(max_index)]
+    want = lucas_values(p, q, max_index)[1:]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [f"{n} {v}" for n, v in enumerate(want, 1)]
+    code, out, _ = run_cli(capsys, [*argv, "--json"])
+    assert code == 0
+    assert json.loads(out)["results"] == [{"n": n, "value": str(v)} for n, v in enumerate(want, 1)]
 
 
 def test_classify_reports_power_free_parts(capsys):

@@ -154,6 +154,18 @@ def test_perfect_power_peeling():
     assert fac.factors == {p: 3}
 
 
+def test_peeling_reaches_the_least_root_past_trial_division():
+    # 100003 is the least prime above the trial limit, so q0^j is the least
+    # j-th power peeling can meet. The order of 2 mod q0 is q0 - 1 = 2*3*7*2381,
+    # which does not divide the p-1 exponent, and budget 0 leaves rho nothing.
+    q0 = 100_003
+    assert q0 == _next_prime(TRIAL_DIVISION_LIMIT)
+    for j in factoring._PEEL_EXPONENTS:
+        for e in (j, 2 * j):
+            fac = factorize(q0 ** e, FactorCache(budget=0))
+            assert (fac.factors, fac.cofactor) == ({q0: e}, 1), e
+
+
 def test_trial_tables_and_pm1_exponent():
     assert list(factoring._TRIAL_PRIMES) == primes_below(TRIAL_DIVISION_LIMIT)
     covered = []

@@ -6,7 +6,6 @@ import random
 import pytest
 
 from lucasprod import (
-    lucas_range,
     lucas_u,
     validate_params,
 )
@@ -50,7 +49,6 @@ def test_doubling_agrees_with_recurrence_oracle():
     for p, q in CLASSICAL:
         params = validate_params(p, q)
         oracle = lucas_values(p, q, 400)
-        assert lucas_range(params, 400) == oracle
         for _ in range(60):
             n = rng.randrange(0, 401)
             assert lucas_u(params, n) == oracle[n]
@@ -58,11 +56,10 @@ def test_doubling_agrees_with_recurrence_oracle():
 
 def test_index_bounds():
     params = validate_params(1, 1)
-    for compute in (lucas_u, lucas_range):
-        with pytest.raises(ValueError):
-            compute(params, -1)
-        with pytest.raises(ValueError, match="exceeds the cap"):
-            compute(params, DEFAULT_INDEX_CAP + 1)
+    with pytest.raises(ValueError):
+        lucas_u(params, -1)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        lucas_u(params, DEFAULT_INDEX_CAP + 1)
     top = lucas_u(params, DEFAULT_INDEX_CAP)
     assert top % (2 ** 61 - 1) == lucas_u_mod(params, DEFAULT_INDEX_CAP, 2 ** 61 - 1)
 
@@ -70,8 +67,7 @@ def test_index_bounds():
 def test_strong_divisibility_random_pairs():
     rng = random.Random(0x5D1B)
     for p, q in CLASSICAL:
-        params = validate_params(p, q)
-        values = lucas_range(params, 300)
+        values = lucas_values(p, q, 300)
         for _ in range(200):
             a = rng.randrange(1, 301)
             b = rng.randrange(1, 301)

@@ -10,7 +10,6 @@ from lucasprod import (
     enumerate_solutions,
     factoring,
     factorize,
-    lucas_range,
     obstruction_filter,
     primitive,
     primitive_divisors,
@@ -20,7 +19,7 @@ from lucasprod import (
 from lucasprod.intmath import kronecker_at_prime
 from lucasprod.lucas import DEFAULT_INDEX_CAP, lucas_u, lucas_u_mod
 
-from _oracles import primes_below, rank_by_bigint, rank_by_scan
+from _oracles import lucas_values, primes_below, rank_by_bigint, rank_by_scan
 
 BENCHMARK_CARDS = ((1, 1), (2, 1), (3, -1), (3, 1), (4, 1), (6, 1))
 PRIMES_BELOW_20000 = primes_below(20_000)
@@ -28,14 +27,14 @@ PRIMES_BELOW_20000 = primes_below(20_000)
 
 def test_rank_matches_bigint_scan(fib, pell):
     for params in (fib, pell):
-        values = lucas_range(params, 600)
+        values = lucas_values(params.p, params.q, 600)
         for p in primes_below(100):
             z = rank_of_apparition(params, p).z
             assert z == rank_by_bigint(p, values)
 
 
 def test_rank_divisibility_law(fib):
-    values = lucas_range(fib, 300)
+    values = lucas_values(fib.p, fib.q, 300)
     for p in primes_below(100):
         z = rank_of_apparition(fib, p).z
         for n in range(1, 301):
@@ -127,11 +126,10 @@ def test_obstruction_filter_admits_ranks_of_the_coefficient(fib):
 def test_primitive_marks_match_first_occurrence(shared_cache):
     for (p, q), top in zip(BENCHMARK_CARDS, (80, 80, 40, 40, 40, 40)):
         params = validate_params(p, q)
+        values = lucas_values(p, q, top)
         for n in range(1, top + 1):
             report = primitive_divisors(params, n, cache=shared_cache)
-            value = abs(
-                lucas_range(params, n)[n]
-            )
+            value = abs(values[n])
             rebuilt = 1
             for entry in report.entries:
                 rebuilt *= entry.prime ** entry.multiplicity
@@ -263,7 +261,7 @@ def test_pm1_step_splits_deep_6_1_terms_without_rho(monkeypatch):
 
 
 def test_is_primitive_iff_prime_divides_no_term_at_n_over_l(fib):
-    values = lucas_range(fib, 90)
+    values = lucas_values(fib.p, fib.q, 90)
     for n in range(1, 91):
         maximal = [n // l for l in primes_below(n + 1) if n % l == 0]
         entries = primitive_divisors(fib, n).entries
