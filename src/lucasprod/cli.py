@@ -13,8 +13,9 @@ HelpFormatter width, read from the terminal once per call: argparse would
 read it in each of the 27 formatters one build creates, and a new read per
 call still follows a changed terminal or COLUMNS. A runner reads the argparse
 namespace, the validated LucasParams and the run's FactorCache and returns
-``(json_results, text_lines)``; ``run`` prints the one JSON record or the
-lines. ``run`` is also the one place where rejections become exit 1: a
+``(json_results, text_lines)``, two iterables that seq fills lazily; ``run``
+prints the lines, or writes the one JSON record row by row, as they come.
+``run`` is also the one place where rejections become exit 1: a
 VerificationError or NotFoundWithinBound raised by any runner prints
 ``rejected: ...`` or ``not found: ...``, or under --json a record with empty
 ``results`` and an ``error`` field. ``main`` prints every ValueError, the
@@ -56,6 +57,7 @@ import functools
 import json
 import shutil
 import sys
+from collections.abc import Iterable, Iterator
 
 from .abc_evidence import quality_report
 from .errors import IncompleteFactorization, LucasProdError, NotFoundWithinBound, VerificationError
@@ -70,7 +72,7 @@ from .solver import (
     verify_solution,
 )
 
-_Output = tuple[list, list[str]]
+_Output = tuple[Iterable[dict], Iterable[str]]
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
@@ -100,16 +102,21 @@ def _certificate_line(cert: SolutionCertificate) -> str:
     return f"indices={joined} y={cert.y}{suffix}"
 
 
+def _seq_terms(params: LucasParams, count: int) -> Iterator[tuple[int, str]]:
+    u, u_next = 1, params.p  # U_1, U_2
+    for n in range(1, count + 1):
+        yield n, str(u)
+        u, u_next = u_next, params.p * u_next + params.q * u
+
+
 def _run_seq(args: argparse.Namespace, params: LucasParams, cache: FactorCache | None) -> _Output:
     if args.max_index < 1:
         raise ValueError(f"--max must be >= 1, got {args.max_index}")
-    values, u, u_next = [], 1, params.p  # U_1, U_2
-    for _ in range(args.max_index):
-        values.append(str(u))
-        u, u_next = u_next, params.p * u_next + params.q * u
+    # Lazy rows, one term at a time: run prints or encodes each as it comes,
+    # so a long run never holds all N decimal strings.
     return (
-        [{"n": n, "value": v} for n, v in enumerate(values, 1)],
-        [f"{n} {v}" for n, v in enumerate(values, 1)],
+        ({"n": n, "value": v} for n, v in _seq_terms(params, args.max_index)),
+        (f"{n} {v}" for n, v in _seq_terms(params, args.max_index)),
     )
 
 
@@ -299,14 +306,16 @@ def run(args: argparse.Namespace) -> int:
         prefix = "not found" if isinstance(exc, NotFoundWithinBound) else "rejected"
         lines = [f"{prefix}: {exc}"]
     if args.as_json:
-        record = {
-            "command": args.subcommand,
-            "params": {"p": args.p, "q": args.q, "a": args.a, "k": args.k},
-            "results": results,
-        }
-        if error is not None:
-            record["error"] = error
-        print(json.dumps(record))
+        # The bytes of json.dumps(record), written row by row: results may be
+        # lazy (seq), and a long one is never held whole.
+        head = json.dumps(
+            {"command": args.subcommand, "params": {"p": args.p, "q": args.q, "a": args.a, "k": args.k}}
+        )
+        sys.stdout.write(head[:-1] + ', "results": [')
+        for i, row in enumerate(results):
+            sys.stdout.write((", " if i else "") + json.dumps(row))
+        tail = "" if error is None else ', "error": ' + json.dumps(error)
+        sys.stdout.write("]" + tail + "}\n")
     else:
         for line in lines:
             print(line)

@@ -30,8 +30,11 @@ by every prime of every chunk up to that point.
 
 A FactorCache is the one factoring context of a run: it carries the rho
 budget and makes each distinct integer cost one factorization. Every function
-above ``factorize`` takes it as ``cache=``; a call without one makes its own
-``FactorCache()``, at DEFAULT_RHO_BUDGET, that dies with the call.
+above ``factorize`` takes it as ``cache=``. A call without one passes None
+down, so each ``factorize`` inside it makes its own ``FactorCache()``, at
+DEFAULT_RHO_BUDGET, that dies with that ``factorize``, and nothing is shared:
+``verify_solution(eq, (5, 12))`` on Fibonacci with a = 5 makes 9
+``factorize`` calls for its 2 distinct integers.
 ``FactorCache.add`` is the one way a factorization enters a cache. A cache
 file holds only what trial division cannot settle, |N| >= 10^10: below that
 ``factorize`` finishes by trial division alone, so a record could neither

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import combinations
 
 from .errors import (
     ClassMismatch,
@@ -111,9 +112,10 @@ def _quotient_root(b: int, a: int, k: int) -> int | None:
 def enumerate_solutions(eq: ProductEquation, cache: FactorCache | None = None) -> list[SolutionCertificate]:
     """All canonical solutions, sorted lexicographically by index tuple.
 
-    Depth-first over the sorted admissible set with gcd pruning; tuples are
-    strictly increasing, pairwise coprime, of size <= max_factors. The empty
-    tuple appears (flagged trivial) exactly when a = +-y^k is solvable.
+    Tries every pairwise coprime tuple of admissible indices, strictly
+    increasing and of size <= max_factors, and verifies those whose term
+    product divided by a is a k-th power. The empty tuple appears (flagged
+    trivial) exactly when a = +-y^k is solvable.
     """
     admissible = admissible_indices(eq, cache=cache).indices
     terms = {n: lucas_u(eq.params, n) for n in admissible}
@@ -123,22 +125,12 @@ def enumerate_solutions(eq: ProductEquation, cache: FactorCache | None = None) -
     if trivial is not None:
         certificates.append(trivial)
 
-    chosen: list[int] = []
-
-    def extend(start: int, product: int) -> None:
-        for pos in range(start, len(admissible)):
-            n = admissible[pos]
-            if any(math.gcd(n, m) != 1 for m in chosen):
+    for size in range(1, min(eq.max_factors, len(admissible)) + 1):
+        for chosen in combinations(admissible, size):
+            if any(math.gcd(m, n) != 1 for m, n in combinations(chosen, 2)):
                 continue
-            chosen.append(n)
-            candidate_product = product * terms[n]
-            if _quotient_root(candidate_product, eq.a, eq.k) is not None:
-                certificates.append(verify_solution(eq, tuple(chosen), cache=cache))
-            if len(chosen) < eq.max_factors:
-                extend(pos + 1, candidate_product)
-            chosen.pop()
-
-    extend(0, 1)
+            if _quotient_root(math.prod(terms[n] for n in chosen), eq.a, eq.k) is not None:
+                certificates.append(verify_solution(eq, chosen, cache=cache))
     certificates.sort(key=lambda cert: cert.indices)
     return certificates
 
@@ -160,11 +152,9 @@ def verify_solution(
 
     stripped = tuple(sorted(n for n in indices if n != 1))
 
-    for i in range(len(stripped)):
-        for j in range(i + 1, len(stripped)):
-            g = math.gcd(stripped[i], stripped[j])
-            if g != 1:
-                raise NotPairwiseCoprime(stripped[i], stripped[j])
+    for m, n in combinations(stripped, 2):
+        if math.gcd(m, n) != 1:
+            raise NotPairwiseCoprime(m, n)
 
     support = set(factorize(eq.a, cache=cache).support())
     term_values = {n: lucas_u(eq.params, n) for n in stripped}
@@ -192,9 +182,7 @@ def verify_solution(
                 f"coefficient class {a_class.as_integer()}"
             )
 
-    product = 1
-    for n in stripped:
-        product *= term_values[n]
+    product = math.prod(term_values[n] for n in stripped)
     if not stripped:
         # All factors were U_1; the equation degenerates to a = +-y^k.
         trivial = _trivial_certificate(eq)

@@ -9,6 +9,7 @@ point being tested.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -16,6 +17,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -83,6 +85,38 @@ def test_seq_matches_recurrence_oracle(capsys, p, q, max_index):
     code, out, _ = run_cli(capsys, [*argv, "--json"])
     assert code == 0
     assert json.loads(out)["results"] == [{"n": n, "value": str(v)} for n, v in enumerate(want, 1)]
+
+
+class _CountingSink:
+    """A stdout that counts the characters written to it and keeps none."""
+
+    size = 0
+
+    def write(self, text: str) -> int:
+        self.size += len(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+@pytest.mark.parametrize("extra, bound", [([], 0.25), (["--json"], 3)])
+def test_seq_peak_memory_is_a_fraction_of_its_output(extra, bound):
+    """seq writes each term as it steps to it: holding all 4,000 Fibonacci
+    terms as strings before printing them takes about 3x the 1.7 MB of text
+    output and 5x the JSON output."""
+    with contextlib.redirect_stdout(_CountingSink()):
+        main(["seq", *FIB, "--max", "1", *extra])  # argparse's one-time setup, outside the trace
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(["seq", *FIB, "--max", "4000", *extra]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size > 1_600_000
+    assert peak < bound * sink.size
 
 
 def test_classify_reports_power_free_parts(capsys):

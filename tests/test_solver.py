@@ -93,6 +93,7 @@ def test_whole_term_and_split_name_the_same_stuck_composite(fib):
 def test_enumeration_matches_bruteforce(fib, pell, shared_cache):
     cases = [
         (fib, 5, 2, 30, 3),
+        (fib, 5, 2, 20, 5),  # --r above the size of the admissible set (2, 5, 12)
         (fib, 1, 2, 25, 2),
         (fib, -1, 2, 30, 2),
         (fib, 2, 3, 30, 2),
@@ -153,6 +154,9 @@ def test_verify_typed_rejections(fib, shared_cache):
     with pytest.raises(NotPairwiseCoprime) as info:
         verify_solution(eq, (4, 6), cache=shared_cache)
     assert (info.value.i, info.value.j) == (4, 6)
+    with pytest.raises(NotPairwiseCoprime) as info:
+        verify_solution(eq, (6, 9, 10), cache=shared_cache)  # (6, 10) fails too, later
+    assert (info.value.i, info.value.j) == (6, 9)
     with pytest.raises(ClassMismatch):
         verify_solution(eq, (4, 5), cache=shared_cache)  # U_4 = 3 not supported
     with pytest.raises(ClassMismatch):
