@@ -46,7 +46,7 @@ def rank_of_apparition(params: LucasParams, p: int, cache: FactorCache | None = 
     composite whatever the probable-prime test said: that raises
     NotFoundWithinBound and returns no rank.
     """
-    if p < 2 or not is_probable_prime(p):
+    if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
     m = p - kronecker_at_prime(params.delta, p)
     if lucas_u_mod(params, m, p) != 0:

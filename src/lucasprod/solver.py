@@ -90,25 +90,6 @@ def admissible_indices(eq: ProductEquation, cache: FactorCache | None = None) ->
     return AdmissibleSet(tuple(admitted))
 
 
-def _trivial_certificate(eq: ProductEquation) -> SolutionCertificate | None:
-    """Empty-product solution of a = +-y^k, when one exists."""
-    if eq.a == 1:
-        return SolutionCertificate((), 1, {}, trivial=True)
-    if eq.a == -1 and eq.k % 2 == 1:
-        return SolutionCertificate((), -1, {}, trivial=True)
-    return None
-
-
-def _quotient_root(b: int, a: int, k: int) -> int | None:
-    """y with a * y^k == b, requiring y >= 0 for even k; None if none exists."""
-    if b % a != 0:
-        return None
-    quotient = b // a
-    if quotient < 0 and k % 2 == 0:
-        return None
-    return perfect_kth_power_root(quotient, k)
-
-
 def enumerate_solutions(eq: ProductEquation, cache: FactorCache | None = None) -> list[SolutionCertificate]:
     """All canonical solutions, sorted lexicographically by index tuple.
 
@@ -121,15 +102,15 @@ def enumerate_solutions(eq: ProductEquation, cache: FactorCache | None = None) -
     terms = {n: lucas_u(eq.params, n) for n in admissible}
 
     certificates = []
-    trivial = _trivial_certificate(eq)
-    if trivial is not None:
-        certificates.append(trivial)
+    if eq.a == 1 or (eq.a == -1 and eq.k % 2 == 1):
+        certificates.append(SolutionCertificate((), eq.a, {}, trivial=True))
 
     for size in range(1, min(eq.max_factors, len(admissible)) + 1):
         for chosen in combinations(admissible, size):
             if any(math.gcd(m, n) != 1 for m, n in combinations(chosen, 2)):
                 continue
-            if _quotient_root(math.prod(terms[n] for n in chosen), eq.a, eq.k) is not None:
+            product = math.prod(terms[n] for n in chosen)
+            if product % eq.a == 0 and perfect_kth_power_root(product // eq.a, eq.k) is not None:
                 certificates.append(verify_solution(eq, chosen, cache=cache))
     certificates.sort(key=lambda cert: cert.indices)
     return certificates
@@ -143,7 +124,8 @@ def verify_solution(
     Checks run in a fixed order and the first failure is raised: pairwise
     coprimality, power-class compatibility, divisibility by the coefficient,
     k-th-power integrality, and the sign of the quotient for even k.
-    Index-1 factors are stripped first (U_1 = 1 contributes nothing).
+    Index-1 factors are stripped first (U_1 = 1 contributes nothing), so a
+    tuple of ones is the empty product and is accepted exactly when a = +-y^k.
     """
     if not indices:
         raise ValueError("indices must be nonempty")
@@ -183,12 +165,6 @@ def verify_solution(
             )
 
     product = math.prod(term_values[n] for n in stripped)
-    if not stripped:
-        # All factors were U_1; the equation degenerates to a = +-y^k.
-        trivial = _trivial_certificate(eq)
-        if trivial is not None:
-            return trivial
-
     coefficient_factors = factorize(eq.a, cache=cache).factors
     if product % eq.a != 0:
         deficits = [

@@ -99,6 +99,9 @@ def test_enumeration_matches_bruteforce(fib, pell, shared_cache):
         (fib, 2, 3, 30, 2),
         (pell, 8, 2, 25, 3),
         (pell, 1, 2, 30, 2),
+        (validate_params(-1, 1), -5, 2, 24, 2),  # negative terms: negative quotients at even k
+        (fib, -1, 3, 24, 2),  # the empty product with y = -1
+        (fib, 1, 4, 20, 2),
     ]
     for params, a, k, n_max, r_max in cases:
         certs = enumerate_solutions(_eq(params, a, k, n_max, r_max), cache=shared_cache)
@@ -205,6 +208,13 @@ def test_verify_all_ones_tuple(fib):
     # runs before the divisibility check.
     with pytest.raises(ClassMismatch):
         verify_solution(_eq(fib, 5, 2, 12, 2), (1,))
+    cert = verify_solution(_eq(fib, 1, 3, 12, 2), (1,))
+    assert (cert.indices, cert.y, cert.trivial) == ((), 1, True)
+    with pytest.raises(NegativeQuotientEvenK):
+        verify_solution(_eq(fib, -1, 4, 12, 2), (1,))
+    with pytest.raises(NotDivisible) as info:
+        verify_solution(_eq(fib, 2, 3, 12, 2), (1,))
+    assert info.value.p == 2
 
 
 def test_solutions_insensitive_to_cache(fib):
