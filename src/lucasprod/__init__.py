@@ -56,12 +56,7 @@ from .solver import (
     enumerate_solutions,
     verify_solution,
 )
-from .square_class import (
-    IDENTITY_CLASS,
-    SquareClass,
-    class_mul,
-    class_of,
-)
+from .square_class import class_of
 
 __version__ = "0.1.0"
 
@@ -79,10 +74,7 @@ __all__ = [
     "factorize",
     "power_free_part",
     # square classes
-    "SquareClass",
-    "IDENTITY_CLASS",
     "class_of",
-    "class_mul",
     # solver
     "ProductEquation",
     "AdmissibleSet",

@@ -26,7 +26,7 @@ from .errors import (
 from .factoring import FactorCache, factorize
 from .intmath import perfect_kth_power_root
 from .lucas import DEFAULT_INDEX_CAP, LucasParams, lucas_u
-from .square_class import IDENTITY_CLASS, class_mul, class_of
+from .square_class import class_of
 
 
 class ProductEquation(namedtuple("ProductEquation", "params a k max_index max_factors")):
@@ -154,15 +154,14 @@ def verify_solution(
             )
 
     if eq.k == 2:
-        product_class = IDENTITY_CLASS
+        sign, primes = 1, set()
         for n in stripped:
-            product_class = class_mul(product_class, class_of(term_values[n], cache=cache))
-        a_class = class_of(eq.a, cache=cache)
+            term_class = class_of(term_values[n], cache=cache)
+            sign *= term_class.sign
+            primes ^= set(term_class.support())
+        product_class, a_class = sign * math.prod(primes), class_of(eq.a, cache=cache).value()
         if product_class != a_class:
-            raise ClassMismatch(
-                f"product class {product_class.as_integer()} differs from the "
-                f"coefficient class {a_class.as_integer()}"
-            )
+            raise ClassMismatch(f"product class {product_class} differs from the coefficient class {a_class}")
 
     product = math.prod(term_values[n] for n in stripped)
     coefficient_factors = factorize(eq.a, cache=cache).factors

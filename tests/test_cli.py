@@ -142,7 +142,7 @@ def test_classify_class_is_the_square_class_of_each_term(capsys):
             for row in rows:
                 value = lucas_u(params, row["n"])
                 assert row["value"] == str(value)
-                assert int(row["class"]) == class_of(value, cache=cache).as_integer(), (p, q, k, row["n"])
+                assert int(row["class"]) == class_of(value, cache=cache).value(), (p, q, k, row["n"])
 
 
 def test_solve_lists_certificates(capsys):

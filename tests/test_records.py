@@ -25,7 +25,7 @@ from lucasprod import (
 RECORDS = (
     "BinetTriple QualityReport Factorization LucasParams RankOfApparition "
     "PrimitiveEntry PrimitiveReport ObstructionVerdict ProductEquation AdmissibleSet "
-    "SolutionCertificate SquareClass"
+    "SolutionCertificate"
 ).split()
 
 
@@ -57,7 +57,6 @@ def _one_of_each():
         eq,
         admissible_indices(eq),
         verify_solution(eq, (5, 12)),
-        class_of(12),
     ]
 
 
@@ -73,7 +72,7 @@ def test_records_are_immutable_with_field_reprs():
         with pytest.raises(AttributeError):
             record.extra = 1
     assert repr(factorize(-360)) == "Factorization(sign=-1, factors={2: 3, 3: 2, 5: 1}, cofactor=1)"
-    assert str(class_of(-18)) == "-2"
+    assert class_of(-18).value() == -2
 
 
 def test_cache_records_read_equal_and_corrupt_ones_always_raise(tmp_path):

@@ -164,6 +164,8 @@ def test_verify_typed_rejections(fib, shared_cache):
         verify_solution(eq, (4, 5), cache=shared_cache)  # U_4 = 3 not supported
     with pytest.raises(ClassMismatch):
         verify_solution(eq, (2,), cache=shared_cache)  # product class 1, not 5
+    with pytest.raises(ClassMismatch, match="^product class 1 differs from the coefficient class -1$"):
+        verify_solution(_eq(fib, -1, 2, 50, 2), (2,), cache=shared_cache)  # the classes differ in sign only
     with pytest.raises(NotDivisible) as info:
         verify_solution(_eq(fib, 125, 2, 50, 2), (5,), cache=shared_cache)
     assert info.value.p == 5
