@@ -125,6 +125,7 @@ def binet_radical(params: LucasParams, triple: BinetTriple, cache: FactorCache |
     and inert primes contribute log p, ramified ones (log p)/2. A prime
     ramified in K but dividing none of delta, e, s never enters the sum.
     """
+    cache = FactorCache() if cache is None else cache
     discriminant = field_discriminant(params.delta, cache=cache)
     support: set[int] = set(factorize(params.delta, cache=cache).support())
     support.update(factorize(triple.e, cache=cache).support())
@@ -142,6 +143,7 @@ def binet_radical(params: LucasParams, triple: BinetTriple, cache: FactorCache |
 
 def quality_report(params: LucasParams, n: int, k: int, cache: FactorCache | None = None) -> QualityReport:
     """Height, radical, their ratio, and the two slack terms for index n."""
+    cache = FactorCache() if cache is None else cache
     triple = make_binet_triple(params, n, k, cache=cache)
     height = binet_height(params, triple)
     radical = binet_radical(params, triple, cache=cache)

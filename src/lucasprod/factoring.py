@@ -15,26 +15,27 @@ of differences once per four steps: the product is reduced before every gcd,
 so it is the one that reducing every step gives, and no operand grows past
 five times the composite's width.
 
-The trial tables are built at import with C-level loops: a byte sieve below
-10^5, the 9,592 primes it marks in one machine-int ``array`` (2, then the odd
-primes read off the odd half of the sieve), chunks of 64 primes, each kept as
-(first prime, slice bounds, product), and blocks of chunks, each kept as
-(first prime, chunks, product of the chunk products): the first chunk alone,
+The trial tables are built at import with C-level loops: the 9,592 primes
+below 10^5 in one ``array`` of 4-byte items (2, then the odd primes read off
+the odd half of a byte sieve, which is not kept), chunks of 64 primes, each
+kept as (first prime, slice bounds, product), and blocks of chunks, each kept
+as (first prime, chunks, product of the chunk products): the first chunk alone,
 then 8 chunks to a block. Trial division is a two-level screen. One gcd with
 a block's product clears the whole block; in a block it does not clear, a gcd
 per chunk picks the chunks that share a prime with m, and each such chunk is
 sliced out of the array and walked only until the primes its gcd names are
 divided out. Both levels stop once the square of the next first prime exceeds
 what is left, so the screen leaves the same factors and cofactor as dividing
-by every prime of every chunk up to that point.
+by every prime of every chunk up to that point. A cache record's base below
+10^5 is checked by its place in that array.
 
 A FactorCache is the one factoring context of a run: it carries the rho
 budget and makes each distinct integer cost one factorization. Every function
-above ``factorize`` takes it as ``cache=``. A call without one passes None
-down, so each ``factorize`` inside it makes its own ``FactorCache()``, at
-DEFAULT_RHO_BUDGET, that dies with that ``factorize``, and nothing is shared:
+above ``factorize`` takes it as ``cache=``. A call without one opens one
+``FactorCache()``, at DEFAULT_RHO_BUDGET, passes it down and drops it on
+return, so each distinct integer is factored once per call:
 ``verify_solution(eq, (5, 12))`` on Fibonacci with a = 5 makes 9
-``factorize`` calls for its 2 distinct integers.
+``factorize`` calls for its 2 distinct integers, and trial-divides each once.
 ``FactorCache.add`` is the one way a factorization enters a cache. A cache
 file holds only what trial division cannot settle, |N| >= 10^10: below that
 ``factorize`` finishes by trial division alone, so a record could neither
@@ -54,6 +55,7 @@ from __future__ import annotations
 import math
 import os
 from array import array
+from bisect import bisect_right
 from collections import namedtuple
 from itertools import compress, repeat
 
@@ -63,11 +65,10 @@ from .intmath import integer_kth_root, is_probable_prime, prime_sieve
 TRIAL_DIVISION_LIMIT = 100_000
 DEFAULT_RHO_BUDGET = 10 ** 8
 
-# _TRIAL_SIEVE[p] == 1 exactly for the primes p below the trial limit.
-_TRIAL_SIEVE = prime_sieve(TRIAL_DIVISION_LIMIT)
-# 2, then the odd primes, read off the odd half of the sieve.
-_TRIAL_PRIMES = array("l", [2])
-_TRIAL_PRIMES.extend(compress(range(1, TRIAL_DIVISION_LIMIT, 2), _TRIAL_SIEVE[1::2]))
+# The primes below the trial limit, 4 bytes each: 2, then the odd primes, read
+# off the odd half of a sieve that is dropped once read.
+_TRIAL_PRIMES = array("I", [2])
+_TRIAL_PRIMES.extend(compress(range(1, TRIAL_DIVISION_LIMIT, 2), prime_sieve(TRIAL_DIVISION_LIMIT)[1::2]))
 # Trial primes in chunks of 64, each as (first prime, start, stop, product of
 # _TRIAL_PRIMES[start:stop]): one gcd with the product tells whether any
 # prime of the chunk divides.
@@ -105,7 +106,7 @@ def _largest_power_within(p: int, bound: int) -> int:
 # primes p <= 2000 of the largest power of p within 2000.
 _PM1_BOUND = 2000
 _PM1_L = math.prod(
-    _largest_power_within(p, _PM1_BOUND) for p in compress(range(_PM1_BOUND + 1), _TRIAL_SIEVE)
+    _largest_power_within(p, _PM1_BOUND) for p in _TRIAL_PRIMES[: bisect_right(_TRIAL_PRIMES, _PM1_BOUND)]
 )
 
 # Polynomial increments for rho restarts; fixed so runs are reproducible.
@@ -237,8 +238,14 @@ class FactorCache:
         if value != n:
             raise ValueError(f"{where}: record does not reconstruct {n}")
         # With prime bases, a record that reconstructs N is N's unique factorization.
+        # A base below the trial limit is prime exactly when it is the largest
+        # trial prime <= p: p >= 2, so there is one, and above 99991 it is 99991.
         for p in factors:
-            if not (_TRIAL_SIEVE[p] if p < TRIAL_DIVISION_LIMIT else is_probable_prime(p)):
+            if p < TRIAL_DIVISION_LIMIT:
+                prime = _TRIAL_PRIMES[bisect_right(_TRIAL_PRIMES, p) - 1] == p
+            else:
+                prime = is_probable_prime(p)
+            if not prime:
                 raise ValueError(f"{where}: base {p} is not prime")
         return Factorization(sign, factors)
 

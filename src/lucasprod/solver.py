@@ -98,6 +98,7 @@ def enumerate_solutions(eq: ProductEquation, cache: FactorCache | None = None) -
     product divided by a is a k-th power. The empty tuple appears (flagged
     trivial) exactly when a = +-y^k is solvable.
     """
+    cache = FactorCache() if cache is None else cache
     admissible = admissible_indices(eq, cache=cache).indices
     terms = {n: lucas_u(eq.params, n) for n in admissible}
 
@@ -138,6 +139,7 @@ def verify_solution(
         if math.gcd(m, n) != 1:
             raise NotPairwiseCoprime(m, n)
 
+    cache = FactorCache() if cache is None else cache
     support = set(factorize(eq.a, cache=cache).support())
     term_values = {n: lucas_u(eq.params, n) for n in stripped}
     term_factorizations: dict[int, dict[int, int]] = {}

@@ -13,5 +13,6 @@ from .factoring import FactorCache, Factorization, factorize, power_free_part
 
 def class_of(n: int, cache: FactorCache | None = None) -> Factorization:
     """Canonical class of n: the factorization of its signed squarefree part."""
+    cache = FactorCache() if cache is None else cache
     e, _ = power_free_part(n, 2, cache=cache)
     return factorize(e, cache=cache) if abs(e) > 1 else Factorization(e, {})

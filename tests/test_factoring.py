@@ -168,6 +168,7 @@ def test_peeling_reaches_the_least_root_past_trial_division():
 
 def test_trial_tables_and_pm1_exponent():
     assert list(factoring._TRIAL_PRIMES) == primes_below(TRIAL_DIVISION_LIMIT)
+    assert factoring._TRIAL_PRIMES.itemsize == 4
     covered = []
     for first, start, stop, product in factoring._TRIAL_CHUNKS:
         chunk = list(factoring._TRIAL_PRIMES[start:stop])
@@ -539,11 +540,12 @@ def test_cache_rejects_malformed_lines(tmp_path):
         (f"{U60} 1 2^2 2^2 3^2 5^1 11^1 31^1 41^1 61^1 2521^1", "prime 2 is repeated"),  # a dict keeps one 2^2
         (f"{U60} 1 16^1 3^2 5^1 11^1 31^1 41^1 61^1 2521^1", "base 16 is not prime"),
         ("10002200057 1 10002200057^1", "base 10002200057 is not prime"),  # 100003 * 100019
+        ("10001599943 1 99997^1 100019^1", "base 99997 is not prime"),  # 19 * 5263, above the last trial prime
         (f"{U60} 1 2^1000000000000", "exceeds"),  # refused before the power is taken
     ],
     ids=[
         "sign", "exponent", "base", "repeated-prime", "composite-base", "composite-base-above-trial-limit",
-        "huge-exponent",
+        "composite-base-near-trial-limit", "huge-exponent",
     ],
 )
 def test_cache_rejects_corrupt_records(tmp_path, record, complaint):
@@ -577,7 +579,7 @@ def test_cache_checks_primes_of_read_records_only(tmp_path, monkeypatch):
     assert cache.get(big[2]).factors == {big[2]: 1}
     assert len(cache) == 5  # the record of 6 is not indexed
     assert cache.get(big[2]).factors == {big[2]: 1}  # the parsed copy, not a second check
-    assert cache.get(N12).factors == {2: 12, 3: 1, 5: 10}  # bases below 10^5 use the sieve
+    assert cache.get(N12).factors == {2: 12, 3: 1, 5: 10}  # bases below 10^5 are looked up in the trial primes
     assert cache.get(6) is None
     assert tested == [big[2]]
 

@@ -1,6 +1,8 @@
 """Result records: immutable named tuples that import without generated code."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -39,6 +41,17 @@ def test_import_leaves_dataclasses_unloaded():
     loaded, path = proc.stdout.split()
     assert loaded == "False"
     assert path.startswith(src)
+
+
+def test_no_module_level_object_exceeds_64_kib():
+    # Tables that grow with an input are built per call: a process that
+    # imports the package again keeps the old modules' tables until a
+    # collection, so a large import-time table costs its memory several times.
+    for info in pkgutil.iter_modules(lucasprod.__path__, "lucasprod."):
+        module = importlib.import_module(info.name)
+        for name, value in vars(module).items():
+            size = sys.getsizeof(value)
+            assert size <= 64 * 1024, f"{info.name}.{name}"
 
 
 def _one_of_each():

@@ -19,6 +19,7 @@ from lucasprod import (
     VerificationError,
     admissible_indices,
     enumerate_solutions,
+    factoring,
     lucas_u,
     primitive,
     validate_params,
@@ -224,6 +225,21 @@ def test_solutions_insensitive_to_cache(fib):
     with_cache = enumerate_solutions(eq, cache=FactorCache())
     without = enumerate_solutions(eq)
     assert [(c.indices, c.y) for c in with_cache] == [(c.indices, c.y) for c in without]
+
+
+def test_call_without_cache_factors_each_integer_once(fib, monkeypatch):
+    # verify_solution makes 9 factorize calls for a = 5 and U_12 = 144, and the
+    # one cache it opens leaves trial division to the first call on each.
+    divided = []
+    real = factoring._trial_divide
+
+    def counting(m):
+        divided.append(m)
+        return real(m)
+
+    monkeypatch.setattr(factoring, "_trial_divide", counting)
+    assert verify_solution(_eq(fib, 5, 2, 12, 2), (5, 12)).y == 12
+    assert divided == [5, 144]
 
 
 def test_random_small_equations_match_oracle(shared_cache):
