@@ -72,15 +72,13 @@ def _roots(params: LucasParams) -> tuple[float, float, float]:
 
 
 def binet_identity_residual(params: LucasParams, triple: BinetTriple) -> float:
-    """Larger relative residual of beta^n + sqrt(delta)*e*s^k = alpha^n at the
-    two real embeddings (conjugation swaps the roots and negates the middle).
+    """Relative residual of beta^n + sqrt(delta)*e*s^k = alpha^n at one real
+    embedding. Conjugation swaps the roots and negates the middle, which
+    negates the identity, so the other embedding gives the same residual.
     """
     alpha, beta, dominant = _roots(params)
-    scale = dominant ** triple.n
     middle = math.sqrt(params.delta) * float(triple.e * triple.s ** triple.k)
-    first = abs(beta ** triple.n + middle - alpha ** triple.n)
-    second = abs(alpha ** triple.n - middle - beta ** triple.n)
-    return max(first, second) / scale
+    return abs(beta ** triple.n + middle - alpha ** triple.n) / dominant ** triple.n
 
 
 def make_binet_triple(params: LucasParams, n: int, k: int, cache: FactorCache | None = None) -> BinetTriple:

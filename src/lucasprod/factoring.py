@@ -26,8 +26,7 @@ per chunk picks the chunks that share a prime with m, and each such chunk is
 sliced out of the array and walked only until the primes its gcd names are
 divided out. Both levels stop once the square of the next first prime exceeds
 what is left, so the screen leaves the same factors and cofactor as dividing
-by every prime of every chunk up to that point. A cache record's base below
-10^5 is checked by its place in that array.
+by every prime of every chunk up to that point.
 
 A FactorCache is the one factoring context of a run: it carries the rho
 budget and makes each distinct integer cost one factorization. Every function
@@ -55,12 +54,11 @@ from __future__ import annotations
 import math
 import os
 from array import array
-from bisect import bisect_right
 from collections import namedtuple
-from itertools import compress, repeat
+from itertools import compress, repeat, takewhile
 
 from .errors import IncompleteFactorization
-from .intmath import integer_kth_root, is_probable_prime, prime_sieve
+from .intmath import is_probable_prime, perfect_kth_power_root, prime_sieve
 
 TRIAL_DIVISION_LIMIT = 100_000
 DEFAULT_RHO_BUDGET = 10 ** 8
@@ -106,7 +104,7 @@ def _largest_power_within(p: int, bound: int) -> int:
 # primes p <= 2000 of the largest power of p within 2000.
 _PM1_BOUND = 2000
 _PM1_L = math.prod(
-    _largest_power_within(p, _PM1_BOUND) for p in _TRIAL_PRIMES[: bisect_right(_TRIAL_PRIMES, _PM1_BOUND)]
+    _largest_power_within(p, _PM1_BOUND) for p in takewhile(lambda p: p <= _PM1_BOUND, _TRIAL_PRIMES)
 )
 
 # Polynomial increments for rho restarts; fixed so runs are reproducible.
@@ -238,14 +236,9 @@ class FactorCache:
         if value != n:
             raise ValueError(f"{where}: record does not reconstruct {n}")
         # With prime bases, a record that reconstructs N is N's unique factorization.
-        # A base below the trial limit is prime exactly when it is the largest
-        # trial prime <= p: p >= 2, so there is one, and above 99991 it is 99991.
+        # The test is exact below ~3.3e24, small bases included, so every base takes it.
         for p in factors:
-            if p < TRIAL_DIVISION_LIMIT:
-                prime = _TRIAL_PRIMES[bisect_right(_TRIAL_PRIMES, p) - 1] == p
-            else:
-                prime = is_probable_prime(p)
-            if not prime:
+            if not is_probable_prime(p):
                 raise ValueError(f"{where}: base {p} is not prime")
         return Factorization(sign, factors)
 
@@ -400,8 +393,8 @@ def factorize(n: int, cache: FactorCache | None = None) -> Factorization:
         for j in _PEEL_EXPONENTS:
             if c < TRIAL_DIVISION_LIMIT ** j:
                 break
-            root = integer_kth_root(c, j)
-            if root ** j == c:
+            root = perfect_kth_power_root(c, j)
+            if root is not None:
                 pending.append((root, mult * j))
                 peeled = True
                 break

@@ -95,24 +95,22 @@ def enumerate_solutions(eq: ProductEquation, cache: FactorCache | None = None) -
 
     Tries every pairwise coprime tuple of admissible indices, strictly
     increasing and of size <= max_factors, and verifies those whose term
-    product divided by a is a k-th power. The empty tuple appears (flagged
-    trivial) exactly when a = +-y^k is solvable.
+    product divided by a is a k-th power. The empty tuple is one of them: its
+    product is 1, and it is verified as the all-ones tuple (1,), so it appears
+    (flagged trivial) exactly when a = +-y^k is solvable.
     """
     cache = FactorCache() if cache is None else cache
     admissible = admissible_indices(eq, cache=cache).indices
     terms = {n: lucas_u(eq.params, n) for n in admissible}
 
     certificates = []
-    if eq.a == 1 or (eq.a == -1 and eq.k % 2 == 1):
-        certificates.append(SolutionCertificate((), eq.a, {}, trivial=True))
-
-    for size in range(1, min(eq.max_factors, len(admissible)) + 1):
+    for size in range(min(eq.max_factors, len(admissible)) + 1):
         for chosen in combinations(admissible, size):
             if any(math.gcd(m, n) != 1 for m, n in combinations(chosen, 2)):
                 continue
             product = math.prod(terms[n] for n in chosen)
             if product % eq.a == 0 and perfect_kth_power_root(product // eq.a, eq.k) is not None:
-                certificates.append(verify_solution(eq, chosen, cache=cache))
+                certificates.append(verify_solution(eq, chosen or (1,), cache=cache))
     certificates.sort(key=lambda cert: cert.indices)
     return certificates
 
@@ -202,8 +200,9 @@ def _valuation_table(
     """Prime -> ((index, valuation), ...) over factors the prime divides.
 
     Also checks the separation laws the certificate promises: primes outside
-    the coefficient meet each factor to a multiple of k, primes inside it meet
-    exactly one factor, deep and with matching parity when k = 2.
+    the coefficient meet each factor to a multiple of k, and a prime of it, to
+    exponent e, meets exactly one factor, to a valuation v >= e with v - e
+    divisible by k.
     """
     primes = set(coefficient_factors)
     for factors in term_factorizations.values():
@@ -220,7 +219,7 @@ def _valuation_table(
             if len(entries) != 1:
                 raise SeparationLawViolation(p, f"prime of a={eq.a} carried by {len(entries)} factors")
             (n, v), e = entries[0], coefficient_factors[p]
-            if v < e or (eq.k == 2 and (v - e) % 2):
+            if v < e or (v - e) % eq.k:
                 raise SeparationLawViolation(p, f"valuation {v} in U_{n} does not fit exponent {e} in a={eq.a}")
         elif any(v % eq.k for _, v in entries):
             raise SeparationLawViolation(p, f"prime outside a={eq.a} to an exponent not divisible by k={eq.k}")

