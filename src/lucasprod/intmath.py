@@ -10,31 +10,16 @@ from math import isqrt
 
 from .lucas import _doubling_pair, validate_params
 
-# Deterministic Miller-Rabin tiers, as (limit, bases) by increasing limit: n
-# takes the first tier whose limit exceeds it, and is prime if it is a strong
-# probable prime to each of that tier's bases. psi_k, the least strong
-# pseudoprime to the first k prime bases (OEIS A014233), is the limit of the
-# tier of the first k primes: Pomerance-Selfridge-Wagstaff, Math. Comp. 35
-# (1980) and Jaeschke, Math. Comp. 61 (1993) up to psi_8; Jiang-Deng, Math.
-# Comp. 83 (2014) for psi_9 = psi_10 = psi_11; Sorenson-Webster, Math. Comp. 86
-# (2017) for psi_12 and psi_13. Between psi_8 and 2^64, Jim Sinclair's seven
-# bases (2011, checked against Feitsma's list of every base-2 strong
-# pseudoprime below 2^64) take the place of the first 9 or 12 primes. From
-# psi_13 ~ 3.3 * 10^24 up, is_probable_prime runs Baillie-PSW.
+# Deterministic Miller-Rabin in two rows, as (limit, bases): n takes the first
+# row whose limit exceeds it, and is prime if it is a strong probable prime to
+# each of that row's bases. Below 2^64, Jim Sinclair's seven bases (2011,
+# checked against Feitsma's list of every base-2 strong pseudoprime below
+# 2^64). From 2^64 to psi_13 ~ 3.3 * 10^24, the least strong pseudoprime to
+# the first 13 prime bases (OEIS A014233), those 13 primes (Sorenson-Webster,
+# Math. Comp. 86 (2017)). From psi_13 up, is_probable_prime runs Baillie-PSW.
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_SINCLAIR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
-_MR_TIERS = (
-    (2_047, _MR_BASES_64[:1]),
-    (1_373_653, _MR_BASES_64[:2]),
-    (25_326_001, _MR_BASES_64[:3]),
-    (3_215_031_751, _MR_BASES_64[:4]),
-    (2_152_302_898_747, _MR_BASES_64[:5]),
-    (3_474_749_660_383, _MR_BASES_64[:6]),
-    (341_550_071_728_321, _MR_BASES_64[:7]),  # psi_7 = psi_8
-    (1 << 64, _MR_SINCLAIR_BASES),
-    (318_665_857_834_031_151_167_461, _MR_BASES_64[:12]),  # psi_12
-    (3_317_044_064_679_887_385_961_981, _MR_BASES_64),  # psi_13
-)
+_MR_TIERS = ((1 << 64, _MR_SINCLAIR_BASES), (3_317_044_064_679_887_385_961_981, _MR_BASES_64))
 _MR_DETERMINISTIC_LIMIT = _MR_TIERS[-1][0]
 
 
@@ -52,7 +37,7 @@ def prime_sieve(limit: int) -> bytearray:
 
 
 def _strong_probable_prime(n: int, base: int) -> bool:
-    if base % n == 0:
+    if base % n == 0:  # no evidence either way: 73 divides Sinclair's 28178
         return True
     r = ((n - 1) & (1 - n)).bit_length() - 1
     x = pow(base, (n - 1) >> r, n)
@@ -95,11 +80,12 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Primality test, proven below ~3.3e24 and Baillie-PSW above.
+    """Primality test, proven below psi_13 ~ 3.3e24 and Baillie-PSW above.
 
-    Below the limit it is Miller-Rabin to the bases of the first tier in
-    _MR_TIERS whose limit exceeds n; above it, a strong test to base 2 and the
-    extra strong Lucas test, which no known composite passes together.
+    Below 2^64 it is Miller-Rabin to Sinclair's seven bases (proven with
+    Feitsma's base-2 pseudoprime list), and up to psi_13 to the first 13 prime
+    bases (Sorenson-Webster); above, a strong test to base 2 and the extra
+    strong Lucas test, which no known composite passes together.
     """
     if n < 2:
         return False
@@ -112,24 +98,6 @@ def is_probable_prime(n: int) -> bool:
     return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
 
 
-def integer_kth_root(n: int, k: int) -> int:
-    """Floor of the k-th root of n >= 0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if n < 2 or k == 1:
-        return n
-    if k == 2:
-        return isqrt(n)
-    x = 1 << ((n.bit_length() + k - 1) // k)  # >= true root
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
 def perfect_kth_power_root(n: int, k: int) -> int | None:
     """Exact k-th root of n, or None.
 
@@ -138,13 +106,20 @@ def perfect_kth_power_root(n: int, k: int) -> int | None:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if n < 0:
-        if k % 2 == 0:
-            return None
-        r = integer_kth_root(-n, k)
-        return -r if r ** k == -n else None
-    r = integer_kth_root(n, k)
-    return r if r ** k == n else None
+    if n < 0 and k % 2 == 0:
+        return None
+    m = abs(n)
+    if k == 2:
+        r = isqrt(m)
+    elif m < 2:
+        r = m
+    else:  # Newton's method from above stops at the floor of the root
+        r = 1 << ((m.bit_length() + k - 1) // k)
+        while (y := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
+            r = y
+    if r ** k != m:
+        return None
+    return r if n >= 0 else -r
 
 
 def jacobi(a: int, n: int) -> int:

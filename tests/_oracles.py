@@ -10,6 +10,8 @@ import math
 import shutil
 from itertools import combinations
 
+import mpmath
+
 
 def lucas_values(p, q, n_max):
     """[U_0, ..., U_n_max] straight from the three-term recurrence."""
@@ -77,10 +79,9 @@ def power_free_by_scan(n, k):
 
 
 def int_root(mag, k):
-    """Floor k-th root of mag >= 0, float guess corrected exactly."""
-    if mag < 2:
-        return mag
-    r = int(round(mag ** (1.0 / k)))
+    """Floor k-th root of mag >= 0: mpmath's root at full precision, corrected exactly."""
+    with mpmath.workprec(mag.bit_length() + 64):
+        r = int(mpmath.floor(mpmath.root(mag, k)))
     while r ** k > mag:
         r -= 1
     while (r + 1) ** k <= mag:

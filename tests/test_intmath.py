@@ -8,6 +8,7 @@ import pytest
 from _oracles import (
     MR_BASES_13,
     PSI_13,
+    exact_quotient_root,
     legendre_by_euler,
     miller_rabin_13,
     miller_rabin_40,
@@ -26,6 +27,7 @@ from lucasprod.intmath import (
     is_probable_prime,
     jacobi,
     kronecker_at_prime,
+    perfect_kth_power_root,
 )
 
 # psi_12: the least strong pseudoprime to the first 12 prime bases, below psi_13.
@@ -107,14 +109,33 @@ def test_each_psi_passes_exactly_the_bases_it_should(k):
 
 
 def test_tiers_are_the_psi_table_and_sinclair_below_2_64():
-    tiers = [(PSI[k], MR_BASES_13[:k]) for k in (1, 2, 3, 4, 5, 6, 7)]
-    tiers += [(2 ** 64, _MR_SINCLAIR_BASES), (PSI[12], MR_BASES_13[:12]), (PSI[13], MR_BASES_13)]
-    assert list(_MR_TIERS) == tiers
+    assert _MR_TIERS == ((2 ** 64, _MR_SINCLAIR_BASES), (PSI_13, MR_BASES_13))
     assert _MR_BASES_64 == MR_BASES_13 and _MR_DETERMINISTIC_LIMIT == PSI_13
-    # The composites between psi_8 and 2^64 that pass the first 8 or 11 prime bases fail Sinclair's.
-    for n in (PSI[8], PSI[9]):
-        assert PSI[8] <= n < 2 ** 64
-        assert not all(strong_probable_prime_reference(n, b) for b in _MR_SINCLAIR_BASES)
+    # Every psi_k below 2^64 passes the first k prime bases, and must fail Sinclair's.
+    for k in range(1, 12):
+        assert PSI[k] < 2 ** 64
+        assert not all(strong_probable_prime_reference(PSI[k], b) for b in _MR_SINCLAIR_BASES), k
+
+
+def test_matches_the_sieve_below_2_18():
+    primes = set(primes_below(2 ** 18))
+    assert [n for n in range(2 ** 18) if is_probable_prime(n) != (n in primes)] == []
+
+
+def _divisors(n):
+    divisors = [1]
+    for p, e in trial_factorize(n).items():
+        divisors = [d * p ** i for d in divisors for i in range(e + 1)]
+    return divisors
+
+
+def test_odd_divisors_of_sinclair_bases_are_decided_by_the_other_bases():
+    # A base that n divides is no witness either way, so primes such as 73 | 28178
+    # pass it, and composites such as 14089 = 73 * 193 must fail another base.
+    numbers = sorted({d for b in _MR_SINCLAIR_BASES for d in _divisors(b) if d % 2 and d > 41})
+    assert len(numbers) == 32 and {73, 193, 14089, 407521, 299210837} <= set(numbers)
+    for n in numbers:
+        assert is_probable_prime(n) == (trial_factorize(n) == {n: 1}), n
 
 
 def _reference(n):
@@ -152,12 +173,17 @@ def _next_reference_prime(n):
     return n
 
 
+# Size ranges that end at psi_1 .. psi_7, 2^64, psi_12 and psi_13, so that
+# small n is sampled as densely as n near the top of each Miller-Rabin row.
+_SAMPLED_LIMITS = [PSI[k] for k in range(1, 8)] + [2 ** 64, PSI[12], PSI[13]]
+
+
 def test_matches_thirteen_base_test_in_every_tier():
-    # Per tier: random odd n, primes, which must pass every base of the tier,
+    # Per range: random odd n, primes, which must pass every base of their row,
     # and q(2q - 1) with both prime, whose strong liars are a quarter of all bases.
     rng = random.Random(13)
     low = 3
-    for limit, _ in _MR_TIERS:
+    for limit in _SAMPLED_LIMITS:
         numbers = [rng.randrange(low, limit) | 1 for _ in range(200)]
         primes = [_next_reference_prime(rng.randrange(low, limit - limit // 4)) for _ in range(50)]
         hard = []
@@ -169,6 +195,20 @@ def test_matches_thirteen_base_test_in_every_tier():
         for n in numbers + primes + hard:
             assert is_probable_prime(n) == miller_rabin_13(n), n
         low = limit
+
+
+def test_perfect_kth_power_root_matches_the_root_oracle():
+    rng = random.Random(2000)
+    roots = list(range(301)) + [rng.getrandbits(2000) | 1 << 1999 for _ in range(3)]
+    for k in range(1, 8):
+        for r in roots:
+            for m in {0, 1, r ** k - 1, r ** k, r ** k + 1}:
+                for n in (m, -m):
+                    # exact_quotient_root with a = 1 is int_root's exact root, None for n < 0 at even k.
+                    assert perfect_kth_power_root(n, k) == exact_quotient_root(n, 1, k), (n, k)
+    assert perfect_kth_power_root(-(7 ** 40), 2) is None and perfect_kth_power_root(-(7 ** 39), 3) == -(7 ** 13)
+    with pytest.raises(ValueError):
+        perfect_kth_power_root(4, 0)
 
 
 def test_kronecker_at_prime_is_euler_criterion_at_odd_primes():
