@@ -8,7 +8,6 @@ from .abc_evidence import (
     BinetTriple,
     QualityReport,
     binet_height,
-    binet_identity_residual,
     binet_radical,
     field_discriminant,
     make_binet_triple,
@@ -95,7 +94,6 @@ __all__ = [
     "QualityReport",
     "field_discriminant",
     "make_binet_triple",
-    "binet_identity_residual",
     "binet_height",
     "binet_radical",
     "quality_report",

@@ -8,16 +8,18 @@ the abc conjecture bounds; this module only measures it and never assumes
 the bound.
 
 ``make_binet_triple`` builds the canonical triple, e the k-th-power-free
-part of U_n, and checks it against U_n. Height and radical depend only on
+part of U_n, and checks e*s^k = U_n exactly; by Binet's formula
+alpha^n - beta^n = sqrt(Delta)*U_n this is the triple identity itself, so
+no embedding needs to be evaluated. Height and radical depend only on
 |e*s^k| and its primes, so a ``BinetTriple`` built directly from another
 representation, such as e = U_n and s = 1, gives the same figures.
 ``binet_radical`` reads the ramification of each prime p of the middle entry
 off the Kronecker symbol (D/p) of the field discriminant
 D = ``field_discriminant(Delta)``, the one invariant of K it needs.
 
-The float roots alpha, beta = (p +- sqrt(Delta))/2 live here, in ``_roots``.
-Every log-scale figure uses the dominant modulus (|p| + sqrt(Delta))/2, so a
-card and its negation, whose terms agree up to sign, give the same figures.
+Every log-scale figure uses the dominant root modulus (|p| + sqrt(Delta))/2
+of alpha, beta = (p +- sqrt(Delta))/2, read in ``_log_dominant``, so a card
+and its negation, whose terms agree up to sign, give the same figures.
 """
 
 from __future__ import annotations
@@ -28,11 +30,6 @@ from collections import namedtuple
 from .factoring import FactorCache, factorize, power_free_part
 from .intmath import kronecker_at_prime
 from .lucas import LucasParams, lucas_u
-
-# Raw evaluation of alpha^n in doubles is allowed only below this many nats;
-# past it everything stays in log space and the residual check is skipped.
-_EMBEDDING_LIMIT_NATS = 500.0
-_RESIDUAL_TOLERANCE = 1e-6
 
 
 class BinetTriple(namedtuple("BinetTriple", "n e s k")):
@@ -65,37 +62,19 @@ def field_discriminant(delta: int, cache: FactorCache | None = None) -> int:
     return d if d % 4 == 1 else 4 * d
 
 
-def _roots(params: LucasParams) -> tuple[float, float, float]:
-    """Doubles alpha, beta = (p +- sqrt(delta))/2 and their larger modulus."""
-    root = math.sqrt(params.delta)
-    return (params.p + root) / 2.0, (params.p - root) / 2.0, (abs(params.p) + root) / 2.0
-
-
-def binet_identity_residual(params: LucasParams, triple: BinetTriple) -> float:
-    """Relative residual of beta^n + sqrt(delta)*e*s^k = alpha^n at one real
-    embedding. Conjugation swaps the roots and negates the middle, which
-    negates the identity, so the other embedding gives the same residual.
-    """
-    alpha, beta, dominant = _roots(params)
-    middle = math.sqrt(params.delta) * float(triple.e * triple.s ** triple.k)
-    return abs(beta ** triple.n + middle - alpha ** triple.n) / dominant ** triple.n
+def _log_dominant(params: LucasParams) -> float:
+    """log of the larger root modulus (|p| + sqrt(delta))/2."""
+    return math.log((abs(params.p) + math.sqrt(params.delta)) / 2.0)
 
 
 def make_binet_triple(params: LucasParams, n: int, k: int, cache: FactorCache | None = None) -> BinetTriple:
-    """Canonical triple for U_n, with e the k-th-power-free part.
-
-    The triple is checked against U_n and, below the embedding limit, against
-    the Binet identity.
-    """
+    """Canonical triple for U_n, with e the k-th-power-free part, checked
+    exactly against U_n."""
     value = lucas_u(params, n)
     e, s = power_free_part(value, k, cache=cache)
     triple = BinetTriple(n=n, e=e, s=s, k=k)
     if triple.e * triple.s ** triple.k != value:
         raise ValueError(f"e*s^k = {triple.e}*{triple.s}^{k} does not equal U_{n}")
-    if n * math.log(_roots(params)[2]) <= _EMBEDDING_LIMIT_NATS:
-        residual = binet_identity_residual(params, triple)
-        if residual > _RESIDUAL_TOLERANCE:
-            raise ValueError(f"binet identity residual {residual:.3e} out of range")
     return triple
 
 
@@ -106,13 +85,12 @@ def binet_height(params: LucasParams, triple: BinetTriple) -> float:
     middle is integral), and the two real embeddings agree, leaving
     max(n*log(dominant), log|sqrt(delta)*e*s^k|) computed in log space.
     """
-    log_dominant = math.log(_roots(params)[2])
     log_middle = (
         0.5 * math.log(params.delta)
         + math.log(abs(triple.e))
         + triple.k * math.log(triple.s)
     )
-    return max(triple.n * log_dominant, log_middle)
+    return max(triple.n * _log_dominant(params), log_middle)
 
 
 def binet_radical(params: LucasParams, triple: BinetTriple, cache: FactorCache | None = None) -> float:
@@ -149,6 +127,6 @@ def quality_report(params: LucasParams, n: int, k: int, cache: FactorCache | Non
         height=height,
         radical=radical,
         quality=height / radical,
-        lower_slack=height - n * math.log(_roots(params)[2]),
+        lower_slack=height - n * _log_dominant(params),
         upper_slack_term=radical - math.log(triple.s),
     )

@@ -47,7 +47,9 @@ composite once. Their file thus also receives each term U_d, d | n, that
 the split factors, with its index d and its primitive part, from 10^10 up;
 primitive --a adds no record for A and judges the obstruction filter from
 the prime table it prints. solve, admissible and verify factor whole terms, through the same
-``factorize``.
+``factorize``. When a term U_n stops partial, verify divides the primes of
+--a out of |U_n| and exits 1 naming n if no exact k-th root is left; it
+exits 3 only when the root exists, or when --a itself stops partial.
 """
 
 from __future__ import annotations

@@ -22,7 +22,10 @@ class IncompleteFactorization(LucasProdError):
     index. From ``primitive.factor_term`` it is the first d | n whose own
     primitive part stuck while U_n was split; from
     ``solver.admissible_indices`` and ``verify_solution`` it is the index of
-    the whole term they factored.
+    the whole term they factored. ``verify_solution`` raises it only when
+    |U_n| with the primes of a divided out is a perfect k-th power, and
+    otherwise rejects U_n with ``ClassMismatch``; it raises it with no index
+    when a itself stops partial.
     """
 
     def __init__(self, cofactor: int, index: int | None = None):

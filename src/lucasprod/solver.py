@@ -144,6 +144,14 @@ def verify_solution(
     for n in stripped:
         fac = factorize(term_values[n], cache=cache)
         if not fac.complete:
+            # n is admissible iff |U_n| with the primes of a divided out is a k-th power.
+            rest = abs(term_values[n])
+            while (g := math.gcd(rest, eq.a)) > 1:
+                rest //= g
+            if perfect_kth_power_root(rest, eq.k) is None:
+                raise ClassMismatch(
+                    f"U_{n} with the primes of a={eq.a} divided out is not a perfect {eq.k}-th power"
+                )
             raise IncompleteFactorization(fac.cofactor, index=n)
         term_factorizations[n] = fac.factors
         bad = [p for p, exp in fac.factors.items() if exp % eq.k != 0 and p not in support]

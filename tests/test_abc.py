@@ -15,7 +15,6 @@ from lucasprod import (
     ProductEquation,
     admissible_indices,
     binet_height,
-    binet_identity_residual,
     binet_radical,
     field_discriminant,
     make_binet_triple,
@@ -94,11 +93,19 @@ def test_triple_field_validation():
 
 
 def test_identity_residual_is_tiny(fib, pell, shared_cache):
-    # Negative p too: make_binet_triple raises when the residual is out of range.
+    # beta^n + sqrt(delta)*e*s^k = alpha^n at 200 bits, negative p too: the
+    # exact check e*s^k = U_n in make_binet_triple is this identity.
     for params, top in ((fib, 100), (pell, 100), (validate_params(-1, 1), 100), (validate_params(-3, -1), 40)):
-        for n in range(1, top + 1):
-            triple = make_binet_triple(params, n, 2, cache=shared_cache)
-            assert binet_identity_residual(params, triple) <= 1e-9
+        with mp.workprec(200):
+            sqrt_delta = mp.sqrt(params.delta)
+            alpha = (params.p + sqrt_delta) / 2
+            beta = (params.p - sqrt_delta) / 2
+            dominant = max(abs(alpha), abs(beta))
+            for n in range(1, top + 1):
+                triple = make_binet_triple(params, n, 2, cache=shared_cache)
+                middle = sqrt_delta * triple.e * mp.mpf(triple.s) ** triple.k
+                residual = beta**n + middle - alpha**n
+                assert abs(residual) < mp.ldexp(dominant**n, -150), (params, n)
 
 
 def _mp_height(params, n, middle_magnitude):

@@ -450,7 +450,7 @@ def test_no_state_leaks_between_main_calls(capsys):
     sequence = [
         ["primitive", *FIB, "--n", "10", "--a", "5", "--k", "3", "--json"],
         ["classify", *FIB, "--max", "12"],  # k = 2: e = 1 and s = 12 for U_12 = 144
-        ["verify", *FIB, "--a", "5", "--k", "2", "--indices", "77", "--budget", "100"],
+        ["classify", *FIB, "--max", "77", "--budget", "100"],
         ["verify", *FIB, "--a", "5", "--k", "2", "--indices", "77"],
     ]
     in_process = [run_cli(capsys, argv) for argv in sequence]
@@ -584,13 +584,23 @@ def test_budget_exhaustion_names_the_composite(capsys):
         (["classify", *FIB, "--max", "77"], u77),
         (["admissible", *FIB, "--a", "5", "--max", "77"], u77),
         (["solve", *FIB, "--a", "5", "--max", "77"], u77),
-        (["verify", *FIB, "--a", "5", "--indices", "77"], u77),
+        (["verify", *FIB, "--a", u77, "--indices", "77"], u77),  # stuck on A itself
         (["primitive", *FIB, "--n", "77", "--a", "5"], u77),
         (["abc-quality", *FIB, "--from", "77", "--to", "77"], u77),
     ):
         code, out, err = run_cli(capsys, [*argv, "--budget", "100"])
         assert (code, out) == (3, ""), argv
         assert f"budget exhausted at composite {composite}" in err, argv
+    # verify still says no on a stuck term: with the primes of A divided out,
+    # |U_n| has no exact k-th root, so the index is not admissible.
+    for argv, n in (
+        ([*FIB, "--a", "5", "--indices", "77", "--budget", "100"], 77),
+        ([*FIB, "--a", "5", "--indices", "139", "--budget", "100000"], 139),
+        (["--p", "6", "--q", "1", "--a", "2", "--indices", "59", "--budget", "100000"], 59),
+    ):
+        code, out, err = run_cli(capsys, ["verify", *argv])
+        assert (code, err) == (1, ""), argv
+        assert out.startswith(f"rejected: U_{n} with the primes of a="), argv
 
 
 def test_pm1_step_runs_on_whole_terms_and_primitive_parts_alike(capsys):

@@ -83,12 +83,65 @@ def test_whole_term_and_split_name_the_same_stuck_composite(fib):
     # the split's U_7 = 13 and U_11 = 89 leave the same product of the last
     # two primes, which rho does not split in 100 steps.
     for factor in (
-        lambda cache: verify_solution(ProductEquation(fib, 5, 2, 77, 1), (77,), cache=cache),
+        lambda cache: admissible_indices(ProductEquation(fib, 5, 2, 77, 1), cache),
         lambda cache: primitive.factor_term(fib, 77, cache),
     ):
         with pytest.raises(IncompleteFactorization) as info:
             factor(FactorCache(budget=100))
         assert (info.value.index, info.value.cofactor) == (77, 4777821694801)
+
+
+def _outcome(eq, n, cache):
+    try:
+        verify_solution(eq, (n,), cache=cache)
+    except (VerificationError, IncompleteFactorization) as exc:
+        return type(exc)
+    return None
+
+
+def test_stuck_term_rejection_agrees_with_the_full_factorization():
+    """At budget 0 a term that trial division and the p-1 step leave stuck is
+    judged by the exact root test alone. It may reject only where the full
+    run rejects with ClassMismatch too, and may stay stuck only where the
+    full run does not say ClassMismatch; every other outcome is the same."""
+    cards = []
+    for p in range(-4, 5):
+        for q in (1, -1):
+            try:
+                cards.append(validate_params(p, q))
+            except ValueError:
+                pass
+    stuck = 0
+    full_cache = FactorCache()
+    for params in cards:
+        for a in (1, -1, 2, 3, 5, 6, 10, -15, 13):
+            for k in (2, 3):
+                eq = ProductEquation(params, a, k, 40, 1)
+                for n in range(2, 41):
+                    fast = _outcome(eq, n, FactorCache(budget=0))
+                    full = _outcome(eq, n, full_cache)
+                    case = (params, a, k, n, fast, full)
+                    if fast is ClassMismatch:
+                        assert full is ClassMismatch, case
+                    elif fast is IncompleteFactorization:
+                        assert full is not ClassMismatch, case
+                    else:
+                        assert fast is full, case
+                    stuck += fast is ClassMismatch and not factoring.factorize(
+                        lucas_u(params, n), cache=FactorCache(budget=0)
+                    ).complete
+    assert len(cards) == 12 and stuck > 0
+    # No stuck term of the grid is admissible. U_77 is, for A = -U_77 and
+    # k = 3 (y = -1); with A's primes known, budget 0 still leaves U_77 stuck
+    # and the root test lets it through.
+    fib, u77 = validate_params(1, 1), 13 * 89 * 988681 * 4832521
+    eq = ProductEquation(fib, -u77, 3, 77, 1)
+    assert verify_solution(eq, (77,), cache=full_cache).y == -1
+    cache = FactorCache(budget=0)
+    cache.add(-u77, factoring.Factorization(-1, {13: 1, 89: 1, 988681: 1, 4832521: 1}))
+    with pytest.raises(IncompleteFactorization) as info:
+        verify_solution(eq, (77,), cache=cache)
+    assert (info.value.index, info.value.cofactor) == (77, 4777821694801)
 
 
 def test_enumeration_matches_bruteforce(fib, pell, shared_cache):
